@@ -7,16 +7,14 @@ the agents that do the actual computing.
 """
 
 from .entries import (
-    ComputingTask,
     ConfigurationEntry,
     FileEntry,
     ResultEntry,
     RowEntry,
-    SchedulerEntry,
     StopEntry,
-    Template,
+    TaskEntry,
     TaskState,
-    WorkerState,
+    Template,
 )
 from .errors import SpacefarmError
 from .client import Session
@@ -25,18 +23,16 @@ from .server import SpaceServer
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComputingTask",
     "ConfigurationEntry",
     "FileEntry",
     "ResultEntry",
     "RowEntry",
-    "SchedulerEntry",
     "Session",
     "SpaceServer",
     "SpacefarmError",
     "StopEntry",
+    "TaskEntry",
     "TaskState",
     "Template",
-    "WorkerState",
     "__version__",
 ]

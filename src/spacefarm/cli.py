@@ -15,7 +15,6 @@ import threading
 
 from . import wire
 from .client import Session, parse_address
-from .entries import TaskState, Template
 from .errors import ConfigError, ConnectionFailed, SpacefarmError
 from .master import CaseConfig, Master
 from .server import SpaceServer
@@ -106,22 +105,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
         if not args.case:
             print(json.dumps(status, sort_keys=True))
             return 0
-        counts = {"wait": 0, "on": 0, "computed": 0}
-        sched = session.read(
-            Template("SchedulerEntry", {"case_id": args.case}), timeout_ms=0
-        )
-        if sched is not None:
-            for task in sched.tasks:
-                if task.state == TaskState.WAIT_FOR_COMPUTING:
-                    counts["wait"] += 1
-                elif task.state == TaskState.ON_COMPUTING:
-                    counts["on"] += 1
-                else:
-                    counts["computed"] += 1
         case = status.get("case", {})
         snapshot = {
             "case_id": args.case,
-            "tasks": counts,
+            "tasks": case.get("tasks", {"wait": 0, "on": 0, "computed": 0}),
             "file_entries": case.get("file_entries", 0),
             "result_entries": case.get("result_entries", 0),
             "open_txns": status.get("open_txns", 0),

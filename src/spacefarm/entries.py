@@ -1,12 +1,15 @@
-"""Entry kinds stored in the space, task/worker state machines, payload codec.
+"""Entry kinds stored in the space, the task state machine, payload codec.
 
 Entries are immutable values; the space never mutates one in place.  A change
 is always expressed as take-then-rewrite of a whole entry.  Each kind carries
 a ``kind`` tag used for template matching and for the wire representation
 (a flat JSON object with the ``kind`` key plus the entry fields).
 
-Payload-like fields (``payload``, ``tasks``, ``values``) are opaque to the
-matcher: templates may only constrain scalar fields.
+Work is a bag of tasks: one ``TaskEntry`` per attempt at a part, so a worker
+claims a task with a single atomic take and no two workers can hold it.
+
+Payload-like fields (``payload``, ``values``) are opaque to the matcher:
+templates may only constrain scalar fields.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ _UUID_RE = re.compile(
 )
 
 # Fields that hold bulk data or nested structures; never matchable.
-_UNMATCHABLE_FIELDS = {"payload", "tasks", "values"}
+_UNMATCHABLE_FIELDS = {"payload", "values"}
 
 
 def new_entry_id() -> str:
@@ -64,11 +67,6 @@ class TaskState(str, Enum):
     COMPUTED = "COMPUTED"
 
 
-class WorkerState(str, Enum):
-    WAIT_FOR_COMPUTING = "WAIT_FOR_COMPUTING"
-    ON_COMPUTING = "ON_COMPUTING"
-
-
 # Forward transitions plus the abort-driven reset back to the queue.
 _TASK_TRANSITIONS = {
     (TaskState.WAIT_FOR_COMPUTING, TaskState.ON_COMPUTING),
@@ -83,41 +81,23 @@ def check_task_transition(old: TaskState, new: TaskState) -> None:
 
 
 @dataclass(frozen=True)
-class ComputingTask:
-    """One unit of work queued on the scheduler."""
+class TaskEntry:
+    """One attempt at one part; ``txn_id`` is the attempt's task transaction.
 
+    The master writes it waiting, a worker claims it by taking it and writes
+    it back on-computing, and marks it computed when the result is written.
+    """
+
+    kind: ClassVar[str] = "TaskEntry"
     case_id: str
     part_index: int
     txn_id: str
     state: TaskState = TaskState.WAIT_FOR_COMPUTING
     enqueued_at: int = 0
 
-    def with_state(self, new_state: TaskState) -> "ComputingTask":
+    def with_state(self, new_state: TaskState) -> "TaskEntry":
         check_task_transition(self.state, new_state)
         return replace(self, state=new_state)
-
-    def with_txn(self, txn_id: str, state: TaskState) -> "ComputingTask":
-        """Reissue under a fresh transaction (replay path)."""
-        return replace(self, txn_id=txn_id, state=state)
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "case_id": self.case_id,
-            "part_index": self.part_index,
-            "txn_id": self.txn_id,
-            "state": self.state.value,
-            "enqueued_at": self.enqueued_at,
-        }
-
-    @classmethod
-    def from_wire(cls, obj: dict[str, Any]) -> "ComputingTask":
-        return cls(
-            case_id=obj["case_id"],
-            part_index=int(obj["part_index"]),
-            txn_id=obj["txn_id"],
-            state=TaskState(obj["state"]),
-            enqueued_at=int(obj["enqueued_at"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -155,14 +135,6 @@ class StopEntry:
 
 
 @dataclass(frozen=True)
-class SchedulerEntry:
-    kind: ClassVar[str] = "SchedulerEntry"
-    case_id: str
-    tasks: tuple[ComputingTask, ...] = ()
-    policy: str = "fifo"
-
-
-@dataclass(frozen=True)
 class RowEntry:
     """Factor row published for sibling tasks of a row-partitioned solve.
 
@@ -182,7 +154,7 @@ Entry = (
     | ResultEntry
     | ConfigurationEntry
     | StopEntry
-    | SchedulerEntry
+    | TaskEntry
     | RowEntry
 )
 
@@ -193,7 +165,7 @@ ENTRY_KINDS: dict[str, type] = {
         ResultEntry,
         ConfigurationEntry,
         StopEntry,
-        SchedulerEntry,
+        TaskEntry,
         RowEntry,
     )
 }
@@ -208,9 +180,7 @@ def entry_to_wire(entry: Entry) -> dict[str, Any]:
     obj: dict[str, Any] = {"kind": entry.kind}
     for f in fields(entry):
         value = getattr(entry, f.name)
-        if f.name == "tasks":
-            value = [t.to_wire() for t in value]
-        elif f.name == "values":
+        if f.name == "values":
             value = list(value)
         elif f.name == "agent_params":
             value = dict(value)
@@ -228,11 +198,11 @@ def entry_from_wire(obj: dict[str, Any]) -> Entry:
         if f.name not in obj:
             raise ValueError(f"{kind} missing field {f.name!r}")
         value = obj[f.name]
-        if f.name == "tasks":
-            value = tuple(ComputingTask.from_wire(t) for t in value)
-        elif f.name == "values":
+        if f.name == "values":
             value = tuple(str(v) for v in value)
-        elif f.name in ("part_index", "num_parts", "row_index"):
+        elif f.name == "state":
+            value = TaskState(value)
+        elif f.name in ("part_index", "num_parts", "row_index", "enqueued_at"):
             value = int(value)
         kwargs[f.name] = value
     return cls(**kwargs)
@@ -277,6 +247,3 @@ class Template:
         except (KeyError, TypeError) as exc:
             raise InvalidTemplate(f"malformed template: {exc}") from exc
 
-
-def matches(template: Template, entry: Entry) -> bool:
-    return template.matches(entry)

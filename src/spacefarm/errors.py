@@ -25,10 +25,6 @@ class UnknownTxn(SpacefarmError):
     code = "UNKNOWN_TXN"
 
 
-class ParticipantUnreachable(SpacefarmError):
-    code = "PARTICIPANT_UNREACHABLE"
-
-
 class FrameTooLarge(SpacefarmError):
     code = "FRAME_TOO_LARGE"
 

@@ -1,15 +1,19 @@
 """Case master: cuts the input, feeds tasks through the space, collects
 results, replays aborted work, and assembles the output.
 
-Three cooperating activities share one part-record table behind a lock: the
-cutter (produces part files into the temporary directory), the feeder (feeds
-each new part file as a FileEntry plus scheduler task under a fresh
-transaction), and the main event loop (results, aborts, timed replays).
+Two activities share one part-record table behind a lock: the feeder (cuts
+the input, writes each part file into the temporary directory and feeds it
+straight away) and the main event loop (computed marks, aborts, timed
+replays).
 
-The task transaction is the unit of recovery. A part's FileEntry is written
-under it, the worker's ResultEntry lands under it, and the master's final
-take/take/remove-from-scheduler runs under it, so a crash or expiry anywhere
-voids the whole attempt and the part is simply fed again.
+Each attempt at a part is one task transaction T. Feeding writes the part's
+FileEntry under T and a waiting TaskEntry naming T outside any transaction,
+so a worker claims it with one plain take. The worker's ResultEntry lands
+under T, and the master's final take of result, file and computed task entry
+runs under T, so a crash or expiry anywhere voids the whole attempt and the
+part is simply fed again. The abort handler takes whatever task entries the
+dead attempt left behind; a waiting entry is never taken under a
+transaction, so no abort can put a stale task back in the bag.
 """
 
 from __future__ import annotations
@@ -28,11 +32,10 @@ from .agents import AgentDescriptor, resolve
 from .client import Session
 from .cuts import STRATEGIES, cut
 from .entries import (
-    ComputingTask,
     ConfigurationEntry,
     FileEntry,
-    SchedulerEntry,
     StopEntry,
+    TaskEntry,
     TaskState,
     Template,
     decode_payload,
@@ -55,11 +58,6 @@ from .execlog import ExecLog
 from .transactions import MIN_LEASE_MS
 
 log = logging.getLogger(__name__)
-
-SCHED_TXN_LEASE_MS = 5_000
-SCHED_TAKE_TIMEOUT_MS = 10_000
-FEED_POLL_S = 0.05
-CATCHUP_POLL_S = 1.0
 
 _REQUIRED_KEYS = (
     "case_id",
@@ -168,7 +166,6 @@ class PartRecord:
     local_path: Path
     txn_id: str | None = None
     attempts: int = 0
-    status: TaskState = TaskState.WAIT_FOR_COMPUTING
     completed: bool = False
 
 
@@ -238,14 +235,12 @@ class Master:
         try:
             self._prepare_directories()
             self._announce_case()
-            cutter = threading.Thread(
-                target=self._cut_loop, args=(data,), name="master-cutter", daemon=True
-            )
-            feeder = threading.Thread(
-                target=self._feed_loop, name="master-feeder", daemon=True
-            )
-            cutter.start()
-            feeder.start()
+            threading.Thread(
+                target=self._cut_and_feed,
+                args=(data,),
+                name="master-feeder",
+                daemon=True,
+            ).start()
             try:
                 self._event_loop(started)
             finally:
@@ -288,8 +283,10 @@ class Master:
         cfg = self.config
         session = self._session
         session.subscribe(
-            Template("SchedulerEntry", {"case_id": cfg.case_id}),
-            lambda seq, entry: self._events.put(("sched", entry)),
+            Template(
+                "TaskEntry", {"case_id": cfg.case_id, "state": TaskState.COMPUTED}
+            ),
+            lambda seq, entry: self._events.put(("computed", entry)),
         )
         session.subscribe_aborts(
             lambda txn_id, tag: self._events.put(("abort", txn_id)),
@@ -304,12 +301,10 @@ class Master:
                 num_parts=cfg.num_parts,
             )
         )
-        # The scheduler starts empty; tasks appear as parts are fed.
-        session.write(SchedulerEntry(case_id=cfg.case_id))
 
-    # -- cutter and feeder -----------------------------------------------------------
+    # -- feeder ----------------------------------------------------------------------
 
-    def _cut_loop(self, data: bytes) -> None:
+    def _cut_and_feed(self, data: bytes) -> None:
         cfg = self.config
         try:
             parts = cut(cfg.cut_name, data, cfg.num_parts, cfg.cut_params)
@@ -319,27 +314,13 @@ class Master:
         for index, blob in enumerate(parts):
             if self._over.is_set():
                 return
-            final = self._parts_dir / f"part-{index}.bin"
-            staging = self._parts_dir / f".part-{index}.tmp"
-            staging.write_bytes(blob)
-            staging.rename(final)  # feeder never sees a partial file
-
-    def _feed_loop(self) -> None:
-        cfg = self.config
-        fed: set[int] = set()
-        while not self._over.is_set() and len(fed) < cfg.num_parts:
-            for index in range(cfg.num_parts):
-                if index in fed:
-                    continue
-                if not (self._parts_dir / f"part-{index}.bin").exists():
-                    continue
-                try:
-                    self._feed_part(index)
-                except SpacefarmError as exc:
-                    self._events.put(("feed-error", exc))
-                    return
-                fed.add(index)
-            self._over.wait(FEED_POLL_S)
+            # Refeeds read the part back from disk.
+            (self._parts_dir / f"part-{index}.bin").write_bytes(blob)
+            try:
+                self._feed_part(index)
+            except SpacefarmError as exc:
+                self._events.put(("feed-error", exc))
+                return
 
     def _feed_part(self, index: int) -> None:
         cfg = self.config
@@ -353,7 +334,6 @@ class Master:
                 self._by_txn.pop(rec.txn_id, None)
             rec.txn_id = txn
             rec.attempts += 1
-            rec.status = TaskState.WAIT_FOR_COMPUTING
             self._by_txn[txn] = index
             attempts = rec.attempts
         session.write(
@@ -365,55 +345,17 @@ class Master:
             ),
             txn=txn,
         )
-        task = ComputingTask(
-            case_id=cfg.case_id,
-            part_index=index,
-            txn_id=txn,
-            state=TaskState.WAIT_FOR_COMPUTING,
-            enqueued_at=int(time.time() * 1000),
-        )
-        self._scheduler_update(
-            lambda tasks: [t for t in tasks if t.part_index != index] + [task]
+        session.write(
+            TaskEntry(
+                case_id=cfg.case_id,
+                part_index=index,
+                txn_id=txn,
+                enqueued_at=int(time.time() * 1000),
+            )
         )
         self.execlog.emit(
             "feed", case_id=cfg.case_id, part_index=index, txn=txn, attempts=attempts
         )
-
-    def _scheduler_update(self, mutate) -> None:
-        """Take/modify/rewrite the scheduler under a short transaction, so a
-        crash mid-update restores it instead of losing the task list."""
-        cfg = self.config
-        session = self._session
-        last_error: Exception | None = None
-        for _ in range(3):
-            txn = session.txn_create(SCHED_TXN_LEASE_MS)
-            try:
-                sched = session.take(
-                    Template("SchedulerEntry", {"case_id": cfg.case_id}),
-                    txn=txn,
-                    timeout_ms=SCHED_TAKE_TIMEOUT_MS,
-                )
-                if sched is None:
-                    session.txn_abort(txn)
-                    last_error = SpacefarmError("scheduler not reachable")
-                    continue
-                session.write(
-                    SchedulerEntry(
-                        case_id=cfg.case_id,
-                        tasks=tuple(mutate(list(sched.tasks))),
-                        policy=sched.policy,
-                    ),
-                    txn=txn,
-                )
-                session.txn_commit(txn)
-                return
-            except SpacefarmError as exc:
-                last_error = exc
-                try:
-                    session.txn_abort(txn)
-                except SpacefarmError:
-                    pass
-        raise last_error if last_error else SpacefarmError("scheduler update failed")
 
     # -- event loop --------------------------------------------------------------------
 
@@ -422,7 +364,6 @@ class Master:
         refeeds: list[tuple[float, int]] = []
         grace_deadline = started + cfg.startup_grace_ms / 1000.0
         grace_checked = False
-        next_poll = started + CATCHUP_POLL_S
         failure: SpacefarmError | None = None
 
         while True:
@@ -447,17 +388,12 @@ class Master:
             if not grace_checked and now >= grace_deadline:
                 grace_checked = True
                 self._check_worker_count()
-            if now >= next_poll:
-                next_poll = now + CATCHUP_POLL_S
-                self._catch_up()
             try:
                 kind, payload = self._events.get(timeout=0.1)
             except queue.Empty:
                 continue
-            if kind == "sched":
-                for task in payload.tasks:
-                    if task.state == TaskState.COMPUTED:
-                        self._on_result(task)
+            if kind == "computed":
+                self._on_result(payload)
             elif kind == "abort":
                 due = self._on_abort(payload)
                 if due is not None:
@@ -473,21 +409,6 @@ class Master:
                 )
             elif kind == "feed-error":
                 self._fail_case(payload)
-
-    def _catch_up(self) -> None:
-        """Scan the scheduler for COMPUTED tasks in case an event was missed."""
-        cfg = self.config
-        try:
-            sched = self._session.read(
-                Template("SchedulerEntry", {"case_id": cfg.case_id}), timeout_ms=0
-            )
-        except SpacefarmError:
-            return
-        if sched is None:
-            return
-        for task in sched.tasks:
-            if task.state == TaskState.COMPUTED:
-                self._on_result(task)
 
     def _check_worker_count(self) -> None:
         cfg = self.config
@@ -506,15 +427,22 @@ class Master:
 
     # -- result and abort handling ----------------------------------------------------
 
-    def _on_result(self, task: ComputingTask) -> None:
+    def _on_result(self, task: TaskEntry) -> None:
         cfg = self.config
         session = self._session
-        with self._lock:
-            rec = self._records.get(task.part_index)
-            if rec is None or rec.completed or rec.txn_id != task.txn_id:
-                return
         txn = task.txn_id
         index = task.part_index
+        marked = Template(
+            "TaskEntry",
+            {"case_id": cfg.case_id, "txn_id": txn, "state": TaskState.COMPUTED},
+        )
+        with self._lock:
+            rec = self._records.get(index)
+            current = rec is not None and not rec.completed and rec.txn_id == txn
+        if not current:
+            # Marked after its attempt was aborted: the part has moved on.
+            self._sweep(marked)
+            return
         try:
             result = session.take(
                 Template(
@@ -530,38 +458,23 @@ class Master:
                 txn=txn,
                 timeout_ms=2_000,
             )
+            session.take(marked, txn=txn, timeout_ms=0)
             blob = decode_payload(result.payload)
             (self._results_dir / f"result-{index}.bin").write_bytes(blob)
-            sched = session.take(
-                Template("SchedulerEntry", {"case_id": cfg.case_id}),
-                txn=txn,
-                timeout_ms=SCHED_TAKE_TIMEOUT_MS,
-            )
-            if sched is None:
-                session.txn_abort(txn)
-                return
-            session.write(
-                SchedulerEntry(
-                    case_id=cfg.case_id,
-                    tasks=tuple(
-                        t for t in sched.tasks if t.part_index != index
-                    ),
-                    policy=sched.policy,
-                ),
-                txn=txn,
-            )
             session.txn_commit(txn)
         except (TxnNotOpen, UnknownTxn):
             return  # lease expired under us; the abort event replays the part
         with self._lock:
             rec.completed = True
-            rec.status = TaskState.COMPUTED
             self._by_txn.pop(txn, None)
             self._completed += 1
         self.execlog.emit("commit", case_id=cfg.case_id, part_index=index, txn=txn)
 
     def _on_abort(self, txn_id: str):
         cfg = self.config
+        # The abort already restored whatever the attempt took under its
+        # transaction; drop every task entry it left so none is claimed again.
+        self._sweep(Template("TaskEntry", {"case_id": cfg.case_id, "txn_id": txn_id}))
         with self._lock:
             index = self._by_txn.get(txn_id)
             if index is None:
@@ -571,7 +484,6 @@ class Master:
                 return None
             self._by_txn.pop(txn_id, None)
             rec.txn_id = None
-            rec.status = TaskState.WAIT_FOR_COMPUTING
             attempts = rec.attempts
             self._replays += 1
         self.execlog.emit(
@@ -595,18 +507,19 @@ class Master:
         cfg = self.config
         session = self._session
         session.write(StopEntry(case_id=cfg.case_id))
-        session.take(
-            Template("SchedulerEntry", {"case_id": cfg.case_id}), timeout_ms=2_000
-        )
-        self._sweep_rows()
+        self._sweep_case()
         results = [
             (self._results_dir / f"result-{index}.bin").read_bytes()
             for index in range(cfg.num_parts)
         ]
         Path(cfg.output_path).write_bytes(self.descriptor.assemble(results))
 
-    def _sweep_rows(self) -> None:
-        template = Template("RowEntry", {"case_id": self.config.case_id})
+    def _sweep_case(self) -> None:
+        for kind in ("TaskEntry", "RowEntry"):
+            self._sweep(Template(kind, {"case_id": self.config.case_id}))
+
+    def _sweep(self, template: Template) -> None:
+        """Take every visible entry matching the template, without waiting."""
         while True:
             try:
                 if self._session.take(template, timeout_ms=0) is None:
@@ -625,13 +538,7 @@ class Master:
                 session.txn_abort(txn)
             except SpacefarmError:
                 pass
-        try:
-            session.take(
-                Template("SchedulerEntry", {"case_id": cfg.case_id}), timeout_ms=1_000
-            )
-        except SpacefarmError:
-            pass
-        self._sweep_rows()
+        self._sweep_case()
         self.execlog.emit("case-failed", case_id=cfg.case_id, error=str(error))
         raise error
 

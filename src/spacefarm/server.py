@@ -17,7 +17,7 @@ import time
 from typing import Any
 
 from . import wire
-from .entries import Template, entry_from_wire, entry_to_wire
+from .entries import TaskState, Template, entry_from_wire, entry_to_wire
 from .errors import BadRequest, SpacefarmError, UnknownOp, error_code
 from .space import CANCELLED, SpaceCore
 from .transactions import SweepLoop, TxnManager
@@ -302,8 +302,19 @@ class SpaceServer:
                 Template(kind, {"case_id": case_id})
             )
         stop = self.space.count_visible(Template("StopEntry", {"case_id": case_id}))
+        tasks = {
+            label: self.space.count_visible(
+                Template("TaskEntry", {"case_id": case_id, "state": state})
+            )
+            for label, state in (
+                ("wait", TaskState.WAIT_FOR_COMPUTING),
+                ("on", TaskState.ON_COMPUTING),
+                ("computed", TaskState.COMPUTED),
+            )
+        }
         return {
             "case_id": case_id,
+            "tasks": tasks,
             "file_entries": counts["FileEntry"],
             "result_entries": counts["ResultEntry"],
             "row_entries": counts["RowEntry"],

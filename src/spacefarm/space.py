@@ -293,11 +293,6 @@ class SpaceCore:
 
     # -- transaction participant interface ------------------------------------
 
-    def prepare(self, txn: str) -> bool:
-        """First phase of commit; the in-process participant is always ready."""
-        with self._cond:
-            return True
-
     def commit_apply(self, txn: str) -> None:
         """Promote the transaction's writes, discard its takes."""
         with self._cond:

@@ -6,9 +6,9 @@ both.  Expiry is the failure detector of the whole architecture: a worker that
 stops renewing its task transaction is presumed dead and its task is replayed.
 
 The manager shares one lock with the space so a transaction check and the
-operation it guards are a single atomic step.  The commit path keeps the
-prepare/apply two-phase structure even though the only participant is the
-in-process space.
+operation it guards are a single atomic step.  The only participant is the
+in-process space, so commit applies in one step: there is no prepare phase
+and no participant that can be unreachable.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .entries import new_entry_id
-from .errors import ParticipantUnreachable, TxnNotOpen, UnknownTxn
+from .errors import TxnNotOpen, UnknownTxn
 
 OPEN = "OPEN"
 COMMITTED = "COMMITTED"
@@ -85,18 +85,7 @@ class TxnManager:
     def commit(self, txn_id: str) -> None:
         with self._lock:
             rec = self._open_record(txn_id)
-            try:
-                self._participant.prepare(txn_id)
-                self._participant.commit_apply(txn_id)
-            except Exception as exc:
-                # One retry, then fall back to abort so the transaction still
-                # reaches exactly one terminal state.
-                try:
-                    self._participant.prepare(txn_id)
-                    self._participant.commit_apply(txn_id)
-                except Exception:
-                    self._finish_abort(rec)
-                    raise ParticipantUnreachable(str(exc)) from exc
+            self._participant.commit_apply(txn_id)
             rec.state = COMMITTED
 
     def abort(self, txn_id: str) -> None:

@@ -1,11 +1,13 @@
 """Worker runtime: claim a task, run the agent, publish the result.
 
-Claiming is the take-then-rewrite protocol on the SchedulerEntry, done under a
-short transaction so a worker that dies mid-claim cannot lose the scheduler.
-Execution happens under the task's own transaction (created by the master at
-feed time): the FileEntry is read under it, the ResultEntry written under it,
-and a heartbeat renews it at a third of its lease, so a dead worker is
-detected by expiry and the task replayed.
+Claiming is one blocking take of any waiting TaskEntry, oldest first across
+cases: the take is both the mutual exclusion and the wake-up. The worker
+then writes the task back on-computing. Execution happens under the task's
+own transaction T (created by the master at feed time): the FileEntry is read
+under it, the ResultEntry written under it, and a heartbeat renews it at a
+third of its lease, so a dead worker is detected by expiry and the task
+replayed. Marking takes the on-computing entry under T, so it fails once T is
+over, and writes the task back computed for the master to commit.
 
 Fault injection for the test harness is compiled in but dormant: the
 SPACEFARM_FAULT environment variable arms hooks at fixed phases of
@@ -27,13 +29,11 @@ from pathlib import Path
 from .agents import CASE_ID_PARAM, AgentDescriptor, resolve
 from .client import Session, WireSpaceHandle
 from .entries import (
-    ComputingTask,
     ConfigurationEntry,
     ResultEntry,
-    SchedulerEntry,
+    TaskEntry,
     TaskState,
     Template,
-    WorkerState,
     decode_payload,
     encode_payload,
     new_entry_id,
@@ -62,11 +62,9 @@ FAULT_PHASES = (
 FAULT_ACTIONS = ("kill", "pause", "abort-txn")
 KILL_EXIT_CODE = 17
 
-CLAIM_TXN_LEASE_MS = 5_000
 CLAIM_WAIT_MS = 800
 CONFIG_WAIT_MS = 2_000
 FILE_WAIT_MS = 2_000
-MARK_DEADLINE_S = 15.0
 
 
 @dataclass
@@ -135,7 +133,6 @@ class Worker:
         scratch_dir: str,
         allowed_agents: list[str] | None = None,
         worker_id: str | None = None,
-        poll_s: float = 1.0,
         injector: FaultInjector | None = None,
         execlog: ExecLog | None = None,
     ) -> None:
@@ -143,12 +140,8 @@ class Worker:
         self.scratch_root = Path(scratch_dir)
         self.allowed_agents = set(allowed_agents) if allowed_agents else None
         self.worker_id = worker_id or new_entry_id()
-        self.poll_s = poll_s
         self.faults = injector if injector is not None else FaultInjector.from_env()
         self.execlog = execlog if execlog is not None else ExecLog.from_env()
-        self.state = WorkerState.WAIT_FOR_COMPUTING
-        self._current: ComputingTask | None = None
-        self._wake = threading.Event()
         self._agent_cache: dict[str, AgentDescriptor] = {}
         self._handle: WireSpaceHandle | None = None
 
@@ -183,22 +176,12 @@ class Worker:
         mine.mkdir(parents=True, exist_ok=True)
 
     def _serve(self, session: Session, stop: threading.Event) -> None:
-        session.subscribe(Template("SchedulerEntry"), self._on_scheduler_event)
         session.subscribe(Template("StopEntry"), self._on_stop_event)
         self.execlog.emit("worker-started", worker_id=self.worker_id)
         while not stop.is_set():
             task = self._claim_next(session)
-            if task is None:
-                self._wake.wait(self.poll_s)
-                self._wake.clear()
-                continue
-            self._execute(session, task)
-
-    def _on_scheduler_event(self, seq: int, entry: SchedulerEntry) -> None:
-        # Only wake for actual work; otherwise the restore fired by our own
-        # empty-handed claim would ping-pong workers forever.
-        if any(t.state == TaskState.WAIT_FOR_COMPUTING for t in entry.tasks):
-            self._wake.set()
+            if task is not None:
+                self._execute(session, task)
 
     def _on_stop_event(self, seq: int, entry) -> None:
         self._agent_cache.pop(entry.case_id, None)
@@ -208,47 +191,27 @@ class Worker:
 
     # -- claiming -----------------------------------------------------------------
 
-    def _claim_next(self, session: Session) -> ComputingTask | None:
-        assert self._current is None, "worker already holds a task"
-        txn = session.txn_create(CLAIM_TXN_LEASE_MS)
-        try:
-            sched = session.take(
-                Template("SchedulerEntry"), txn=txn, timeout_ms=CLAIM_WAIT_MS
-            )
-            if sched is None:
-                session.txn_abort(txn)
-                return None
-            for index, task in enumerate(sched.tasks):
-                if task.state != TaskState.WAIT_FOR_COMPUTING:
-                    continue
-                claimed = task.with_state(TaskState.ON_COMPUTING)
-                tasks = list(sched.tasks)
-                tasks[index] = claimed
-                session.write(
-                    SchedulerEntry(
-                        case_id=sched.case_id, tasks=tuple(tasks), policy=sched.policy
-                    ),
-                    txn=txn,
-                )
-                session.txn_commit(txn)
-                self.execlog.emit(
-                    "claimed",
-                    worker_id=self.worker_id,
-                    case_id=claimed.case_id,
-                    part_index=claimed.part_index,
-                    txn=claimed.txn_id,
-                )
-                return claimed
-            session.txn_abort(txn)  # nothing eligible; put it back untouched
+    def _claim_next(self, session: Session) -> TaskEntry | None:
+        waiting = session.take(
+            Template("TaskEntry", {"state": TaskState.WAIT_FOR_COMPUTING}),
+            timeout_ms=CLAIM_WAIT_MS,
+        )
+        if waiting is None:
             return None
-        except (TxnNotOpen, UnknownTxn):
-            return None
+        claimed = waiting.with_state(TaskState.ON_COMPUTING)
+        session.write(claimed)
+        self.execlog.emit(
+            "claimed",
+            worker_id=self.worker_id,
+            case_id=claimed.case_id,
+            part_index=claimed.part_index,
+            txn=claimed.txn_id,
+        )
+        return claimed
 
     # -- execution -----------------------------------------------------------------
 
-    def _execute(self, session: Session, task: ComputingTask) -> None:
-        self._current = task
-        self.state = WorkerState.ON_COMPUTING
+    def _execute(self, session: Session, task: TaskEntry) -> None:
         txn = task.txn_id
         stop_hb = threading.Event()
         lease_lost = threading.Event()
@@ -356,10 +319,8 @@ class Worker:
                 )
         finally:
             stop_hb.set()
-            self._current = None
-            self.state = WorkerState.WAIT_FOR_COMPUTING
 
-    def _scratch_path(self, task: ComputingTask) -> Path:
+    def _scratch_path(self, task: TaskEntry) -> Path:
         directory = self.scratch_root / self.worker_id / task.case_id
         directory.mkdir(parents=True, exist_ok=True)
         return directory / f"part-{task.part_index}.bin"
@@ -402,53 +363,42 @@ class Worker:
                 lease_lost.set()
                 return
 
-    def _mark_computed(self, session: Session, task: ComputingTask) -> bool:
-        deadline = time.monotonic() + MARK_DEADLINE_S
-        template = Template("SchedulerEntry", {"case_id": task.case_id})
-        while True:
-            txn_m = session.txn_create(CLAIM_TXN_LEASE_MS)
-            sched = session.take(template, txn=txn_m, timeout_ms=2_000)
-            if sched is None:
-                session.txn_abort(txn_m)
-                if time.monotonic() > deadline:
-                    self._abandon(session, task, "scheduler-unavailable")
-                    return False
-                continue
-            index = next(
-                (
-                    i
-                    for i, t in enumerate(sched.tasks)
-                    if t.part_index == task.part_index and t.case_id == task.case_id
+    def _mark_computed(self, session: Session, task: TaskEntry) -> bool:
+        try:
+            claimed = session.take(
+                Template(
+                    "TaskEntry",
+                    {
+                        "case_id": task.case_id,
+                        "txn_id": task.txn_id,
+                        "state": TaskState.ON_COMPUTING,
+                    },
                 ),
-                None,
+                txn=task.txn_id,
+                timeout_ms=0,
             )
-            current = sched.tasks[index] if index is not None else None
-            if (
-                current is None
-                or current.txn_id != task.txn_id
-                or current.state != TaskState.ON_COMPUTING
-            ):
-                # The master replayed this part while we were computing; our
-                # transaction is void and the fresh attempt owns the result.
-                session.txn_abort(txn_m)
-                self._abandon(session, task, "task-superseded")
-                return False
-            tasks = list(sched.tasks)
-            tasks[index] = current.with_state(TaskState.COMPUTED)
-            session.write(
-                SchedulerEntry(
-                    case_id=sched.case_id, tasks=tuple(tasks), policy=sched.policy
-                ),
-                txn=txn_m,
-            )
-            session.txn_commit(txn_m)
-            return True
+        except (TxnNotOpen, UnknownTxn):
+            claimed = None
+        if claimed is None:
+            # The attempt is over; the master replays the part under a fresh
+            # transaction, which owns the result.
+            self._abandon(session, task, "task-superseded")
+            return False
+        session.write(claimed.with_state(TaskState.COMPUTED))
+        return True
 
-    def _abandon(self, session: Session, task: ComputingTask, reason: str) -> None:
+    def _abandon(self, session: Session, task: TaskEntry, reason: str) -> None:
         try:
             session.txn_abort(task.txn_id)
-        except (TxnNotOpen, UnknownTxn):
+        except SpacefarmError:
             pass
+        try:
+            # The master sweeps the dead attempt's task entries when it sees
+            # the abort; this takes an entry we wrote after that sweep.
+            session.take(
+                Template("TaskEntry", {"case_id": task.case_id, "txn_id": task.txn_id}),
+                timeout_ms=0,
+            )
         except SpacefarmError:
             pass
         self.execlog.emit(

@@ -3,6 +3,7 @@ implementations for pi digits and Cholesky factors."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import threading
@@ -132,17 +133,17 @@ def make_case_config(tmp_path, address: str, *, input_bytes: bytes, **overrides)
     return CaseConfig(**fields)
 
 
-def run_case_with_workers(
-    config: CaseConfig,
+@contextlib.contextmanager
+def running_workers(
+    address: str,
     num_workers: int,
     tmp_path,
     *,
     allowed_agents: list[str] | None = None,
     injectors: dict[int, FaultInjector] | None = None,
     execlog_dir=None,
-    poll_s: float = 0.2,
 ):
-    """Run a case against worker threads sharing the configured space."""
+    """Worker threads serving the space at `address` until the block exits."""
     stop = threading.Event()
     threads = []
     for index in range(num_workers):
@@ -152,11 +153,10 @@ def run_case_with_workers(
             else ExecLog(None)
         )
         worker = Worker(
-            config.space_address,
+            address,
             str(tmp_path / f"scratch-{index}"),
             allowed_agents=allowed_agents,
             worker_id=f"w{index}",
-            poll_s=poll_s,
             injector=(injectors or {}).get(index, FaultInjector([])),
             execlog=execlog,
         )
@@ -166,13 +166,32 @@ def run_case_with_workers(
         thread.start()
         threads.append(thread)
     try:
+        yield
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=15)
+
+
+def run_case_with_workers(
+    config: CaseConfig,
+    num_workers: int,
+    tmp_path,
+    *,
+    execlog_dir=None,
+    **worker_options,
+):
+    """Run a case against worker threads sharing the configured space."""
+    with running_workers(
+        config.space_address,
+        num_workers,
+        tmp_path,
+        execlog_dir=execlog_dir,
+        **worker_options,
+    ):
         master_log = (
             ExecLog(str(execlog_dir / "master.jsonl"))
             if execlog_dir is not None
             else ExecLog(None)
         )
         return Master(config, execlog=master_log).run()
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=15)

@@ -418,33 +418,88 @@ def test_acceptance_5_adaptability(tmp_path):
     assert passed, detail
 
 
-# -- 6: scheduler mutual exclusion -----------------------------------------------------
+# -- 6: task mutual exclusion ----------------------------------------------------------
 
 
-def _scan_scheduler_intervals(history, case_id):
-    """Walk the linearized history; scheduler take intervals must not overlap."""
-    sched_seqs = set()
-    holder = None
-    takes = 0
+def _scan_task_intervals(history, case_id):
+    """Walk the linearized history; per part, the open attempts held by workers
+    must never overlap.
+
+    An attempt is held from the take of its waiting TaskEntry until the commit
+    or abort of its transaction. Taking the waiting entry of an attempt that
+    has already ended opens nothing: that transaction can do no more work.
+    Returns (claims, overlaps).
+    """
+    waiting = {}  # seq of a waiting TaskEntry of the case -> (part, txn)
+    ended = set()
+    holders = {}  # part -> txn of the attempt currently held
+    claims = 0
     overlaps = 0
     for row in sorted(history, key=lambda r: r["order"]):
         op = row["op"]
         if op == "write":
             entry = row["entry"]
             if (
-                entry.get("kind") == "SchedulerEntry"
+                entry.get("kind") == "TaskEntry"
                 and entry.get("case_id") == case_id
+                and entry.get("state") == "WAIT_FOR_COMPUTING"
             ):
-                sched_seqs.add(row["seq"])
-        elif op == "take" and row.get("seq") in sched_seqs:
-            takes += 1
-            if holder is not None:
+                waiting[row["seq"]] = (entry["part_index"], entry["txn_id"])
+        elif op == "take" and row.get("seq") in waiting:
+            claims += 1
+            part, txn = waiting.pop(row["seq"])
+            if txn in ended:
+                continue
+            if holders.get(part) not in (None, txn):
                 overlaps += 1
-            if row["txn"] is not None:
-                holder = row["txn"]
-        elif op in ("commit", "abort") and holder is not None and row["txn"] == holder:
-            holder = None
-    return takes, overlaps
+            holders[part] = txn
+        elif op in ("commit", "abort"):
+            ended.add(row["txn"])
+            for part, txn in list(holders.items()):
+                if txn == row["txn"]:
+                    del holders[part]
+    return claims, overlaps
+
+
+def _task_write(order, seq, part, txn, state="WAIT_FOR_COMPUTING"):
+    entry = {
+        "kind": "TaskEntry",
+        "case_id": "c",
+        "part_index": part,
+        "txn_id": txn,
+        "state": state,
+        "enqueued_at": 0,
+    }
+    return {"op": "write", "order": order, "seq": seq, "txn": None, "entry": entry}
+
+
+def _take(order, seq):
+    return {"op": "take", "order": order, "seq": seq, "txn": None, "template": {}}
+
+
+def test_task_scanner_counts_two_open_attempts_of_one_part():
+    history = [
+        _task_write(1, 1, 0, "t1"),
+        _task_write(2, 2, 0, "t2"),
+        _take(3, 1),
+        _take(4, 2),  # t1 still open: two workers hold part 0
+        {"op": "commit", "order": 5, "txn": "t1"},
+    ]
+    assert _scan_task_intervals(history, "c") == (2, 1)
+
+
+def test_task_scanner_ignores_claim_of_an_aborted_attempt():
+    history = [
+        _task_write(1, 1, 0, "t1"),
+        {"op": "abort", "order": 2, "txn": "t1"},
+        _task_write(3, 2, 0, "t2"),
+        _take(4, 2),
+        _take(5, 1),  # t1's waiting entry, claimed after t1 ended
+        _task_write(6, 3, 1, "t3", state="ON_COMPUTING"),
+        _take(7, 3),  # not a waiting entry: not a claim
+        {"op": "commit", "order": 8, "txn": "t2"},
+    ]
+    assert _scan_task_intervals(history, "c") == (2, 0)
 
 
 def test_acceptance_6_scheduler_mutual_exclusion(tmp_path):
@@ -464,9 +519,7 @@ def test_acceptance_6_scheduler_mutual_exclusion(tmp_path):
             num_parts=100,
             task_lease_ms=30_000,
         )
-        report = run_case_with_workers(
-            config, 8, tmp_path, execlog_dir=logs, poll_s=0.05
-        )
+        report = run_case_with_workers(config, 8, tmp_path, execlog_dir=logs)
         events = load_events([str(p) for p in logs.iterdir()])
         commits = Counter(
             e["part_index"] for e in events if e["event"] == "commit"
@@ -477,11 +530,11 @@ def test_acceptance_6_scheduler_mutual_exclusion(tmp_path):
         once = commits == dict.fromkeys(range(100), 1) and marks == dict.fromkeys(
             range(100), 1
         )
-        takes, overlaps = _scan_scheduler_intervals(srv.space.history, "mutex-100")
-        passed = once and takes >= 100 and overlaps == 0 and report.results == 100
+        claims, overlaps = _scan_task_intervals(srv.space.history, "mutex-100")
+        passed = once and claims >= 100 and overlaps == 0 and report.results == 100
         detail = (
             f"commits={'1 each' if once else dict(commits)} "
-            f"scheduler takes={takes} overlaps={overlaps}"
+            f"task claims={claims} overlaps={overlaps}"
         )
     except Exception as exc:
         detail = repr(exc)

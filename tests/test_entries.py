@@ -5,13 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spacefarm.entries import (
-    ComputingTask,
     ConfigurationEntry,
     FileEntry,
     ResultEntry,
     RowEntry,
-    SchedulerEntry,
     StopEntry,
+    TaskEntry,
     TaskState,
     Template,
     decode_payload,
@@ -26,13 +25,12 @@ from spacefarm.errors import InvalidTemplate, MalformedPayload
 
 
 def sample_entries():
-    task = ComputingTask("case-a", 0, "txn-1", TaskState.WAIT_FOR_COMPUTING, 42)
     return [
         FileEntry("case-a", 0, new_entry_id(), encode_payload(b"hello")),
         ResultEntry("case-a", 0, new_entry_id(), encode_payload(b"")),
         ConfigurationEntry("case-a", "echo", "1", {"delay_ms": "0"}, 4),
         StopEntry("case-a"),
-        SchedulerEntry("case-a", (task,), "fifo"),
+        TaskEntry("case-a", 0, "txn-1", TaskState.ON_COMPUTING, 42),
         RowEntry("case-a", "0", 3, ("1", "0.5", "-2.25e-1")),
     ]
 
@@ -69,7 +67,7 @@ def test_entry_id_parse_is_strict_identity():
 
 
 def test_task_transitions():
-    task = ComputingTask("c", 1, "t")
+    task = TaskEntry("c", 1, "t")
     on = task.with_state(TaskState.ON_COMPUTING)
     assert on.state is TaskState.ON_COMPUTING
     assert on.with_state(TaskState.COMPUTED).state is TaskState.COMPUTED
@@ -81,14 +79,6 @@ def test_task_transitions():
     done = on.with_state(TaskState.COMPUTED)
     with pytest.raises(ValueError):
         done.with_state(TaskState.WAIT_FOR_COMPUTING)
-
-
-def test_task_reissue_under_fresh_txn():
-    task = ComputingTask("c", 1, "t-old", TaskState.ON_COMPUTING)
-    fresh = task.with_txn("t-new", TaskState.WAIT_FOR_COMPUTING)
-    assert fresh.txn_id == "t-new"
-    assert fresh.state is TaskState.WAIT_FOR_COMPUTING
-    assert fresh.part_index == 1
 
 
 def test_template_matches_on_exact_scalar_equality():
@@ -105,14 +95,12 @@ def test_template_rejects_unknown_kind_and_bulk_fields():
     with pytest.raises(InvalidTemplate):
         Template("FileEntry", {"payload": "AAAA"})
     with pytest.raises(InvalidTemplate):
-        Template("SchedulerEntry", {"tasks": ()})
-    with pytest.raises(InvalidTemplate):
         Template("RowEntry", {"values": ()})
 
 
 def test_matchable_fields_exclude_bulk_data():
     assert "payload" not in matchable_fields("FileEntry")
-    assert "tasks" not in matchable_fields("SchedulerEntry")
+    assert {"case_id", "txn_id", "state"} <= matchable_fields("TaskEntry")
     assert "values" not in matchable_fields("RowEntry")
     assert {"case_id", "matrix_id", "row_index"} <= matchable_fields("RowEntry")
 

@@ -6,11 +6,19 @@ in the harness tests; here we exercise the transactional replay paths.
 import json
 import os
 import random
+import threading
+import time
 from collections import Counter
 
 import pytest
 
-from conftest import make_case_config, pi_hex, run_case_with_workers, spd_matrix
+from conftest import (
+    make_case_config,
+    pi_hex,
+    run_case_with_workers,
+    running_workers,
+    spd_matrix,
+)
 from spacefarm.agents import AgentDescriptor, _REGISTRY, cholesky, register
 from spacefarm.errors import ConfigError, CutFailed, MaxAttemptsExceeded
 from spacefarm.execlog import load_events
@@ -18,7 +26,14 @@ from spacefarm.master import CaseConfig, Master
 from spacefarm.worker import FaultInjector, _Fault
 
 
-def test_echo_case_round_trips_output(tmp_path, address):
+NO_TASKS = {"wait": 0, "on": 0, "computed": 0}
+
+
+def task_counts(session, case_id):
+    return session.admin_status(case_id)["case"]["tasks"]
+
+
+def test_echo_case_round_trips_output(tmp_path, address, session):
     payload = random.Random(7).randbytes(64)
     config = make_case_config(tmp_path, address, input_bytes=payload)
     report = run_case_with_workers(config, 2, tmp_path)
@@ -26,6 +41,7 @@ def test_echo_case_round_trips_output(tmp_path, address):
     assert report.replays == 0
     with open(config.output_path, "rb") as fh:
         assert fh.read() == payload
+    assert task_counts(session, config.case_id) == NO_TASKS
 
 
 def test_bbp_case_produces_pi_digits(tmp_path, address):
@@ -66,7 +82,7 @@ def test_cholesky_case_matches_sequential_factorization(tmp_path, address):
     assert factor == cholesky_oracle(a)
 
 
-def test_abort_fault_replays_part_and_still_completes(tmp_path, address):
+def test_abort_fault_replays_part_and_still_completes(tmp_path, address, session):
     payload = bytes(range(48))
     config = make_case_config(tmp_path, address, input_bytes=payload)
     injectors = {0: FaultInjector([_Fault(phase="after-claim", action="abort-txn")])}
@@ -74,6 +90,7 @@ def test_abort_fault_replays_part_and_still_completes(tmp_path, address):
     assert report.replays >= 1
     with open(config.output_path, "rb") as fh:
         assert fh.read() == payload
+    assert task_counts(session, config.case_id) == NO_TASKS
 
 
 def test_abort_before_result_write_is_neutral(tmp_path, address):
@@ -88,7 +105,7 @@ def test_abort_before_result_write_is_neutral(tmp_path, address):
         assert fh.read() == payload
 
 
-def test_failing_agent_exhausts_attempts(tmp_path, address):
+def test_failing_agent_exhausts_attempts(tmp_path, address, session):
     def broken(data, params, space):
         raise RuntimeError("synthetic agent failure")
 
@@ -105,6 +122,7 @@ def test_failing_agent_exhausts_attempts(tmp_path, address):
         )
         with pytest.raises(MaxAttemptsExceeded):
             run_case_with_workers(config, 1, tmp_path)
+        assert task_counts(session, config.case_id) == NO_TASKS
     finally:
         del _REGISTRY[descriptor.key]
 
@@ -125,6 +143,37 @@ def test_exactly_once_commits_in_execution_log(tmp_path, address):
     )
     assert commits == Counter({i: 1 for i in range(6)})
     assert marks == Counter({i: 1 for i in range(6)})
+
+
+def test_short_case_is_not_blocked_behind_a_long_one(tmp_path, address):
+    """Claims are oldest-first across cases, so a free worker takes the newer
+    case's tasks while the older case's only task is still running."""
+    finished = []
+
+    def run(name, **overrides):
+        root = tmp_path / name
+        root.mkdir()
+        config = make_case_config(
+            root, address, case_id=name, input_bytes=bytes(range(8)), **overrides
+        )
+        Master(config).run()
+        finished.append(name)
+
+    cases = [
+        threading.Thread(
+            target=run,
+            args=("long",),
+            kwargs={"num_parts": 1, "agent_params": {"delay_ms": 3_000}},
+        ),
+        threading.Thread(target=run, args=("short",), kwargs={"num_parts": 4}),
+    ]
+    with running_workers(address, 2, tmp_path):
+        cases[0].start()
+        time.sleep(0.3)
+        cases[1].start()
+        for case in cases:
+            case.join(timeout=60)
+    assert finished == ["short", "long"]
 
 
 def test_missing_input_file_fails_fast(tmp_path, address):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FakeClock
 from spacefarm.entries import StopEntry, Template
-from spacefarm.errors import ParticipantUnreachable, TxnNotOpen, UnknownTxn
+from spacefarm.errors import TxnNotOpen, UnknownTxn
 from spacefarm.space import SpaceCore
 from spacefarm.transactions import (
     ABORTED,
@@ -121,35 +121,3 @@ def test_unsubscribe_aborts(fake_clock):
     txns.unsubscribe_aborts(sub)
     txns.abort(txns.create(1_000))
     assert seen == []
-
-
-class FlakyParticipant:
-    def __init__(self, failures: int) -> None:
-        self.failures = failures
-        self.aborted = []
-
-    def prepare(self, txn):
-        return True
-
-    def commit_apply(self, txn):
-        if self.failures > 0:
-            self.failures -= 1
-            raise RuntimeError("participant down")
-
-    def abort_apply(self, txn):
-        self.aborted.append(txn)
-
-
-def test_commit_retries_once_then_falls_back_to_abort(fake_clock):
-    txns = TxnManager(FlakyParticipant(failures=1), clock=fake_clock)
-    txn = txns.create(1_000)
-    txns.commit(txn)  # second attempt succeeds
-    assert txns.status(txn).state == COMMITTED
-
-    flaky = FlakyParticipant(failures=2)
-    txns = TxnManager(flaky, clock=fake_clock)
-    txn = txns.create(1_000)
-    with pytest.raises(ParticipantUnreachable):
-        txns.commit(txn)
-    assert txns.status(txn).state == ABORTED  # terminal state is still reached
-    assert flaky.aborted == [txn]
