@@ -13,7 +13,6 @@ from .entries import (
     RowEntry,
     StopEntry,
     TaskEntry,
-    TaskState,
     Template,
 )
 from .errors import SpacefarmError
@@ -32,7 +31,6 @@ __all__ = [
     "SpacefarmError",
     "StopEntry",
     "TaskEntry",
-    "TaskState",
     "Template",
     "__version__",
 ]

@@ -252,8 +252,8 @@ class Session:
         self._register_callback(sub_id, on_event)
         return sub_id
 
-    def txn_create(self, lease_ms: int, tag: str | None = None) -> str:
-        return self.call("txn.create", {"lease_ms": lease_ms, "tag": tag})["txn_id"]
+    def txn_create(self, lease_ms: int) -> str:
+        return self.call("txn.create", {"lease_ms": lease_ms})["txn_id"]
 
     def txn_renew(self, txn_id: str, lease_ms: int) -> None:
         self.call("txn.renew", {"txn_id": txn_id, "lease_ms": lease_ms})
@@ -271,21 +271,7 @@ class Session:
             state=result["state"],
             lease_ms=result["lease_ms"],
             deadline=0.0,
-            tag=result.get("tag"),
         )
-
-    def subscribe_aborts(
-        self,
-        callback: Callable[[str, str | None], None],
-        tag: str | None = None,
-    ) -> str:
-        def on_event(payload: dict[str, Any]) -> None:
-            callback(payload["txn_id"], payload.get("tag"))
-
-        result = self.call("txn.subscribe_aborts", {"tag": tag})
-        sub_id = result["subscription_id"]
-        self._register_callback(sub_id, on_event)
-        return sub_id
 
     def admin_status(self, case_id: str | None = None) -> dict[str, Any]:
         params = {"case_id": case_id} if case_id else {}

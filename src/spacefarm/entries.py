@@ -1,12 +1,13 @@
-"""Entry kinds stored in the space, the task state machine, payload codec.
+"""Entry kinds stored in the space and the payload codec.
 
 Entries are immutable values; the space never mutates one in place.  A change
 is always expressed as take-then-rewrite of a whole entry.  Each kind carries
 a ``kind`` tag used for template matching and for the wire representation
 (a flat JSON object with the ``kind`` key plus the entry fields).
 
-Work is a bag of tasks: one ``TaskEntry`` per attempt at a part, so a worker
-claims a task with a single atomic take and no two workers can hold it.
+Work is a bag of tasks: one ``TaskEntry`` per part, written once. A worker
+claims it by taking it under its own transaction, so no two workers can hold
+it; an abort puts it back, and a commit consumes it for good.
 
 Payload-like fields (``payload``, ``values``) are opaque to the matcher:
 templates may only constrain scalar fields.
@@ -18,8 +19,7 @@ import base64
 import binascii
 import re
 import uuid
-from dataclasses import dataclass, field, fields, replace
-from enum import Enum
+from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar
 
 from .errors import InvalidTemplate, MalformedPayload
@@ -61,43 +61,18 @@ def decode_payload(text: str) -> bytes:
         raise MalformedPayload(f"invalid base64 payload: {exc}") from exc
 
 
-class TaskState(str, Enum):
-    WAIT_FOR_COMPUTING = "WAIT_FOR_COMPUTING"
-    ON_COMPUTING = "ON_COMPUTING"
-    COMPUTED = "COMPUTED"
-
-
-# Forward transitions plus the abort-driven reset back to the queue.
-_TASK_TRANSITIONS = {
-    (TaskState.WAIT_FOR_COMPUTING, TaskState.ON_COMPUTING),
-    (TaskState.ON_COMPUTING, TaskState.COMPUTED),
-    (TaskState.ON_COMPUTING, TaskState.WAIT_FOR_COMPUTING),
-}
-
-
-def check_task_transition(old: TaskState, new: TaskState) -> None:
-    if (old, new) not in _TASK_TRANSITIONS:
-        raise ValueError(f"illegal task transition {old.value} -> {new.value}")
-
-
 @dataclass(frozen=True)
 class TaskEntry:
-    """One attempt at one part; ``txn_id`` is the attempt's task transaction.
+    """One part of a case waiting to be computed.
 
-    The master writes it waiting, a worker claims it by taking it and writes
-    it back on-computing, and marks it computed when the result is written.
+    ``lease_ms`` is the case's task lease: the claiming worker renews its
+    transaction at that lease while it works on the part.
     """
 
     kind: ClassVar[str] = "TaskEntry"
     case_id: str
     part_index: int
-    txn_id: str
-    state: TaskState = TaskState.WAIT_FOR_COMPUTING
-    enqueued_at: int = 0
-
-    def with_state(self, new_state: TaskState) -> "TaskEntry":
-        check_task_transition(self.state, new_state)
-        return replace(self, state=new_state)
+    lease_ms: int
 
 
 @dataclass(frozen=True)
@@ -200,9 +175,7 @@ def entry_from_wire(obj: dict[str, Any]) -> Entry:
         value = obj[f.name]
         if f.name == "values":
             value = tuple(str(v) for v in value)
-        elif f.name == "state":
-            value = TaskState(value)
-        elif f.name in ("part_index", "num_parts", "row_index", "enqueued_at"):
+        elif f.name in ("part_index", "num_parts", "row_index", "lease_ms"):
             value = int(value)
         kwargs[f.name] = value
     return cls(**kwargs)

@@ -376,6 +376,7 @@ class _Run:
         return count >= 1, f"late worker w{late} completed {count} tasks"
 
     def _assert_recovery_within_2x_lease(self, baseline: bytes | None):
+        """From each kill to the next claim of the killed worker's part."""
         events = self.events()
         kills = [
             e for e in events if e.get("event") == "fault" and e.get("action") == "kill"
@@ -386,16 +387,16 @@ class _Run:
         worst = 0.0
         for kill in kills:
             part = kill.get("part_index")
-            refeeds = [
+            claims = [
                 e
                 for e in events
-                if e.get("event") == "feed"
+                if e.get("event") == "claimed"
                 and e.get("part_index") == part
                 and e.get("ts", 0) > kill["ts"]
             ]
-            if not refeeds:
-                return False, f"part {part} never replayed after kill"
-            worst = max(worst, refeeds[0]["ts"] - kill["ts"])
+            if not claims:
+                return False, f"part {part} never claimed again after kill"
+            worst = max(worst, claims[0]["ts"] - kill["ts"])
         ok = worst <= limit_s
         return ok, f"worst recovery {worst:.2f}s vs limit {limit_s:.2f}s"
 

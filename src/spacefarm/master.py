@@ -1,31 +1,32 @@
 """Case master: cuts the input, feeds tasks through the space, collects
-results, replays aborted work, and assembles the output.
+results, counts replays, and assembles the output.
 
-Two activities share one part-record table behind a lock: the feeder (cuts
-the input, writes each part file into the temporary directory and feeds it
-straight away) and the main event loop (computed marks, aborts, timed
-replays).
+The master writes each part's FileEntry and TaskEntry once, outside any
+transaction. A worker claims a task by taking it under its own transaction,
+takes the part's file and writes the ResultEntry under the same transaction,
+and commits: one step consumes the task and the file and publishes the
+result. A part has one task entry and only one commit can consume it, so each
+part is committed exactly once. A crash, a lease expiry or an explicit abort
+restores the task and the file with their original sequence numbers; that
+restore is the replay, and the master has nothing to re-feed.
 
-Each attempt at a part is one task transaction T. Feeding writes the part's
-FileEntry under T and a waiting TaskEntry naming T outside any transaction,
-so a worker claims it with one plain take. The worker's ResultEntry lands
-under T, and the master's final take of result, file and computed task entry
-runs under T, so a crash or expiry anywhere voids the whole attempt and the
-part is simply fed again. The abort handler takes whatever task entries the
-dead attempt left behind; a waiting entry is never taken under a
-transaction, so no abort can put a stale task back in the bag.
+The master cuts the input and feeds every part. It then takes each
+ResultEntry of the case as a commit publishes it, keeping the result in
+memory, and follows a subscription to the case's TaskEntry. The first
+TaskEntry event for a part is the master's own feed; every later one is a
+restore, so it counts as one replay and one failed attempt toward
+max_attempts. The case's own StopEntry event closes that count.
 """
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import json
 import logging
 import queue
-import tempfile
-import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import AgentDescriptor, resolve
@@ -36,7 +37,6 @@ from .entries import (
     FileEntry,
     StopEntry,
     TaskEntry,
-    TaskState,
     Template,
     decode_payload,
     encode_payload,
@@ -48,16 +48,19 @@ from .errors import (
     ConnectionFailed,
     CutFailed,
     MaxAttemptsExceeded,
+    SessionClosed,
     SpacefarmError,
     SpaceUnreachable,
-    TxnNotOpen,
-    UnknownTxn,
     VersionMismatch,
 )
 from .execlog import ExecLog
 from .transactions import MIN_LEASE_MS
 
 log = logging.getLogger(__name__)
+
+# How long one take for a result waits before the master looks at the restore
+# events that came in meanwhile.
+RESULT_WAIT_MS = 500
 
 _REQUIRED_KEYS = (
     "case_id",
@@ -89,8 +92,7 @@ class CaseConfig:
     initial_workers: int
     task_lease_ms: int
     max_attempts: int = 5
-    backoff_base_ms: int = 1_000
-    tmp_dir: str | None = None
+    tmp_dir: str | None = None  # unused: parts travel only through the space
     startup_grace_ms: int = 10_000
 
     @classmethod
@@ -121,7 +123,6 @@ class CaseConfig:
             initial_workers=int(obj["initial_workers"]),
             task_lease_ms=int(obj["task_lease_ms"]),
             max_attempts=int(obj.get("max_attempts", 5)),
-            backoff_base_ms=int(obj.get("backoff_base_ms", 1_000)),
             tmp_dir=obj.get("tmp_dir"),
             startup_grace_ms=int(obj.get("startup_grace_ms", 10_000)),
         )
@@ -161,15 +162,6 @@ class CaseConfig:
 
 
 @dataclass
-class PartRecord:
-    part_index: int
-    local_path: Path
-    txn_id: str | None = None
-    attempts: int = 0
-    completed: bool = False
-
-
-@dataclass
 class CaseReport:
     case_id: str
     parts: int
@@ -192,11 +184,6 @@ class CaseReport:
         )
 
 
-@dataclass
-class _CaseFailure:
-    error: SpacefarmError
-
-
 class Master:
     def __init__(self, config: CaseConfig, execlog: ExecLog | None = None) -> None:
         config.validate()
@@ -209,15 +196,13 @@ class Master:
         except (AgentNotFound, VersionMismatch) as exc:
             raise ConfigError(str(exc)) from exc
         self._session: Session | None = None
-        self._lock = threading.Lock()
-        self._records: dict[int, PartRecord] = {}
-        self._by_txn: dict[str, int] = {}
-        self._events: queue.Queue = queue.Queue()
-        self._over = threading.Event()
-        self._completed = 0
+        self._inbox: Session | None = None  # subscriptions only
+        # Events of the case's TaskEntry (each part's feed, then its restores)
+        # and, last, of its StopEntry.
+        self._inbox_events: queue.SimpleQueue = queue.SimpleQueue()
+        self._events_per_part: Counter[int] = Counter()
+        self._results: dict[int, bytes] = {}
         self._replays = 0
-        self._parts_dir: Path | None = None
-        self._results_dir: Path | None = None
 
     # -- setup --------------------------------------------------------------------
 
@@ -229,27 +214,30 @@ class Master:
         except OSError as exc:
             raise CutFailed(f"cannot read input {cfg.input_path}: {exc}") from exc
         try:
-            self._session = Session.connect(cfg.space_address)
-        except ConnectionFailed as exc:
-            raise SpaceUnreachable(str(exc)) from exc
-        try:
-            self._prepare_directories()
+            parts = cut(cfg.cut_name, data, cfg.num_parts, cfg.cut_params)
+        except SpacefarmError:
+            raise
+        except Exception as exc:  # a strategy bug fails the case like bad input
+            raise CutFailed(str(exc)) from exc
+        with contextlib.ExitStack() as stack:
+            self._session = stack.enter_context(contextlib.closing(self._connect()))
+            # Subscriptions get a connection of their own. The event for the
+            # master's own TaskEntry write is sent just ahead of the write's
+            # response, and on a shared connection that response would wait
+            # out the client's delayed ACK.
+            self._inbox = stack.enter_context(contextlib.closing(self._connect()))
             self._announce_case()
-            threading.Thread(
-                target=self._cut_and_feed,
-                args=(data,),
-                name="master-feeder",
-                daemon=True,
-            ).start()
             try:
-                self._event_loop(started)
-            finally:
-                self._over.set()
+                for index, blob in enumerate(parts):
+                    self._feed_part(index, blob)
+            except SpacefarmError as exc:
+                self._fail_case(exc)
+            self._event_loop(started)
             elapsed_ms = int((time.monotonic() - started) * 1000)
             report = CaseReport(
                 case_id=cfg.case_id,
                 parts=cfg.num_parts,
-                results=self._completed,
+                results=len(self._results),
                 replays=self._replays,
                 elapsed_ms=elapsed_ms,
                 output_path=cfg.output_path,
@@ -261,38 +249,23 @@ class Master:
                 replays=report.replays,
             )
             return report
-        finally:
-            self._over.set()
-            self._session.close()
 
-    def _prepare_directories(self) -> None:
-        cfg = self.config
-        tmp_root = Path(cfg.tmp_dir) if cfg.tmp_dir else Path(tempfile.gettempdir())
-        self._parts_dir = tmp_root / cfg.case_id
-        self._parts_dir.mkdir(parents=True, exist_ok=True)
-        self._results_dir = Path(cfg.output_path).parent / cfg.case_id
-        self._results_dir.mkdir(parents=True, exist_ok=True)
-        # Stale files from an earlier run of the same case id must not be
-        # fed or counted as fresh results.
-        for stale in self._parts_dir.glob("part-*.bin"):
-            stale.unlink()
-        for stale in self._results_dir.glob("result-*.bin"):
-            stale.unlink()
+    def _connect(self) -> Session:
+        try:
+            return Session.connect(self.config.space_address)
+        except ConnectionFailed as exc:
+            raise SpaceUnreachable(str(exc)) from exc
 
     def _announce_case(self) -> None:
         cfg = self.config
-        session = self._session
-        session.subscribe(
-            Template(
-                "TaskEntry", {"case_id": cfg.case_id, "state": TaskState.COMPUTED}
-            ),
-            lambda seq, entry: self._events.put(("computed", entry)),
-        )
-        session.subscribe_aborts(
-            lambda txn_id, tag: self._events.put(("abort", txn_id)),
-            tag=cfg.case_id,
-        )
-        session.write(
+        for kind in ("TaskEntry", "StopEntry"):
+            self._inbox.subscribe(
+                Template(kind, {"case_id": cfg.case_id}),
+                lambda seq, entry: self._inbox_events.put(entry),
+            )
+        # Written before any part is fed, so a worker that claims a task of
+        # this case finds the configuration without waiting.
+        self._session.write(
             ConfigurationEntry(
                 case_id=cfg.case_id,
                 agent_id=cfg.agent_id,
@@ -302,113 +275,47 @@ class Master:
             )
         )
 
-    # -- feeder ----------------------------------------------------------------------
+    # -- feeding ---------------------------------------------------------------------
 
-    def _cut_and_feed(self, data: bytes) -> None:
-        cfg = self.config
-        try:
-            parts = cut(cfg.cut_name, data, cfg.num_parts, cfg.cut_params)
-        except Exception as exc:
-            self._events.put(("cut-error", exc))
-            return
-        for index, blob in enumerate(parts):
-            if self._over.is_set():
-                return
-            # Refeeds read the part back from disk.
-            (self._parts_dir / f"part-{index}.bin").write_bytes(blob)
-            try:
-                self._feed_part(index)
-            except SpacefarmError as exc:
-                self._events.put(("feed-error", exc))
-                return
-
-    def _feed_part(self, index: int) -> None:
+    def _feed_part(self, index: int, blob: bytes) -> None:
         cfg = self.config
         session = self._session
-        path = self._parts_dir / f"part-{index}.bin"
-        blob = path.read_bytes()
-        txn = session.txn_create(cfg.task_lease_ms, tag=cfg.case_id)
-        with self._lock:
-            rec = self._records.setdefault(index, PartRecord(index, path))
-            if rec.txn_id is not None:
-                self._by_txn.pop(rec.txn_id, None)
-            rec.txn_id = txn
-            rec.attempts += 1
-            self._by_txn[txn] = index
-            attempts = rec.attempts
+        # The file goes first, so a worker that claims the task can take it
+        # without waiting.
         session.write(
             FileEntry(
                 case_id=cfg.case_id,
                 part_index=index,
                 entry_id=new_entry_id(),
                 payload=encode_payload(blob),
-            ),
-            txn=txn,
+            )
         )
         session.write(
             TaskEntry(
-                case_id=cfg.case_id,
-                part_index=index,
-                txn_id=txn,
-                enqueued_at=int(time.time() * 1000),
+                case_id=cfg.case_id, part_index=index, lease_ms=cfg.task_lease_ms
             )
         )
-        self.execlog.emit(
-            "feed", case_id=cfg.case_id, part_index=index, txn=txn, attempts=attempts
-        )
+        self.execlog.emit("feed", case_id=cfg.case_id, part_index=index, txn=None)
 
     # -- event loop --------------------------------------------------------------------
 
     def _event_loop(self, started: float) -> None:
         cfg = self.config
-        refeeds: list[tuple[float, int]] = []
         grace_deadline = started + cfg.startup_grace_ms / 1000.0
         grace_checked = False
-        failure: SpacefarmError | None = None
-
-        while True:
-            now = time.monotonic()
-            while refeeds and refeeds[0][0] <= now:
-                _, index = heapq.heappop(refeeds)
-                with self._lock:
-                    rec = self._records.get(index)
-                    skip = rec is None or rec.completed
-                if not skip:
-                    try:
-                        self._feed_part(index)
-                    except SpacefarmError as exc:
-                        failure = exc
-            if failure is not None:
-                self._fail_case(failure)
-            with self._lock:
-                done = self._completed >= cfg.num_parts
-            if done:
-                self._finish_case()
-                return
-            if not grace_checked and now >= grace_deadline:
+        # A take, not a subscription: an event would carry the result's
+        # payload once more before the take that removes it.
+        results = Template("ResultEntry", {"case_id": cfg.case_id})
+        while len(self._results) < cfg.num_parts:
+            if not grace_checked and time.monotonic() >= grace_deadline:
                 grace_checked = True
                 self._check_worker_count()
-            try:
-                kind, payload = self._events.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            if kind == "computed":
-                self._on_result(payload)
-            elif kind == "abort":
-                due = self._on_abort(payload)
-                if due is not None:
-                    if isinstance(due, _CaseFailure):
-                        failure = due.error
-                    else:
-                        heapq.heappush(refeeds, due)
-            elif kind == "cut-error":
-                self._fail_case(
-                    payload
-                    if isinstance(payload, SpacefarmError)
-                    else CutFailed(str(payload))
-                )
-            elif kind == "feed-error":
-                self._fail_case(payload)
+            result = self._session.take(results, timeout_ms=RESULT_WAIT_MS)
+            if result is not None:
+                self._results[result.part_index] = decode_payload(result.payload)
+            while not self._inbox_events.empty():
+                self._on_task_event(self._inbox_events.get())
+        self._finish_case()
 
     def _check_worker_count(self) -> None:
         cfg = self.config
@@ -416,7 +323,8 @@ class Master:
             status = self._session.admin_status()
         except SpacefarmError:
             return
-        peers = max(0, int(status.get("sessions", 0)) - 1)  # minus this master
+        # Minus this master's two sessions.
+        peers = max(0, int(status.get("sessions", 0)) - 2)
         if peers < cfg.initial_workers:
             log.warning(
                 "case %s: %d peer connections observed, config expects %d workers",
@@ -425,120 +333,80 @@ class Master:
                 cfg.initial_workers,
             )
 
-    # -- result and abort handling ----------------------------------------------------
+    # -- restore handling --------------------------------------------------------------
 
-    def _on_result(self, task: TaskEntry) -> None:
+    def _on_task_event(self, task: TaskEntry) -> None:
         cfg = self.config
-        session = self._session
-        txn = task.txn_id
         index = task.part_index
-        marked = Template(
-            "TaskEntry",
-            {"case_id": cfg.case_id, "txn_id": txn, "state": TaskState.COMPUTED},
-        )
-        with self._lock:
-            rec = self._records.get(index)
-            current = rec is not None and not rec.completed and rec.txn_id == txn
-        if not current:
-            # Marked after its attempt was aborted: the part has moved on.
-            self._sweep(marked)
-            return
-        try:
-            result = session.take(
-                Template(
-                    "ResultEntry", {"case_id": cfg.case_id, "part_index": index}
-                ),
-                txn=txn,
-                timeout_ms=2_000,
-            )
-            if result is None:
-                return
-            session.take(
-                Template("FileEntry", {"case_id": cfg.case_id, "part_index": index}),
-                txn=txn,
-                timeout_ms=2_000,
-            )
-            session.take(marked, txn=txn, timeout_ms=0)
-            blob = decode_payload(result.payload)
-            (self._results_dir / f"result-{index}.bin").write_bytes(blob)
-            session.txn_commit(txn)
-        except (TxnNotOpen, UnknownTxn):
-            return  # lease expired under us; the abort event replays the part
-        with self._lock:
-            rec.completed = True
-            self._by_txn.pop(txn, None)
-            self._completed += 1
-        self.execlog.emit("commit", case_id=cfg.case_id, part_index=index, txn=txn)
-
-    def _on_abort(self, txn_id: str):
-        cfg = self.config
-        # The abort already restored whatever the attempt took under its
-        # transaction; drop every task entry it left so none is claimed again.
-        self._sweep(Template("TaskEntry", {"case_id": cfg.case_id, "txn_id": txn_id}))
-        with self._lock:
-            index = self._by_txn.get(txn_id)
-            if index is None:
-                return None
-            rec = self._records[index]
-            if rec.completed or rec.txn_id != txn_id:
-                return None
-            self._by_txn.pop(txn_id, None)
-            rec.txn_id = None
-            attempts = rec.attempts
-            self._replays += 1
+        self._events_per_part[index] += 1
+        failed = self._events_per_part[index] - 1
+        if failed == 0:
+            return  # the feed itself
+        self._replays += 1
         self.execlog.emit(
-            "abort-observed", case_id=cfg.case_id, part_index=index, txn=txn_id
+            "abort-observed", case_id=cfg.case_id, part_index=index, attempts=failed
         )
-        if attempts >= cfg.max_attempts:
-            return _CaseFailure(
+        if failed >= cfg.max_attempts:
+            self._fail_case(
                 MaxAttemptsExceeded(
-                    f"part {index} failed {attempts} times (limit {cfg.max_attempts})"
+                    f"part {index} failed {failed} times (limit {cfg.max_attempts})"
                 )
             )
-        delay_s = cfg.backoff_base_ms * (2 ** (attempts - 1)) / 1000.0
-        self.execlog.emit(
-            "refeed-scheduled", case_id=cfg.case_id, part_index=index, delay_s=delay_s
-        )
-        return (time.monotonic() + delay_s, index)
 
     # -- termination -------------------------------------------------------------------
 
     def _finish_case(self) -> None:
         cfg = self.config
-        session = self._session
-        session.write(StopEntry(case_id=cfg.case_id))
-        self._sweep_case()
-        results = [
-            (self._results_dir / f"result-{index}.bin").read_bytes()
-            for index in range(cfg.num_parts)
-        ]
-        Path(cfg.output_path).write_bytes(self.descriptor.assemble(results))
+        stop = StopEntry(case_id=cfg.case_id)
+        self._session.write(stop)
+        # Results come in on the other connection. Every restore of the case
+        # reached the inbox ahead of this stop event, so once it is in, the
+        # replay count is complete.
+        while (event := self._next_inbox_event()) != stop:
+            self._on_task_event(event)
+        self._sweep("ConfigurationEntry", "RowEntry")
+        output = Path(cfg.output_path)
+        output.parent.mkdir(parents=True, exist_ok=True)
+        results = [self._results[index] for index in range(cfg.num_parts)]
+        output.write_bytes(self.descriptor.assemble(results))
 
-    def _sweep_case(self) -> None:
-        for kind in ("TaskEntry", "RowEntry"):
-            self._sweep(Template(kind, {"case_id": self.config.case_id}))
-
-    def _sweep(self, template: Template) -> None:
-        """Take every visible entry matching the template, without waiting."""
+    def _next_inbox_event(self) -> TaskEntry | StopEntry:
         while True:
             try:
-                if self._session.take(template, timeout_ms=0) is None:
-                    return
+                return self._inbox_events.get(timeout=RESULT_WAIT_MS / 1000.0)
+            except queue.Empty:
+                if self._inbox.closed:
+                    raise SessionClosed("subscription session closed") from None
+
+    def _sweep(self, *kinds: str) -> None:
+        """Take every visible entry of the case of these kinds, without waiting."""
+        for kind in kinds:
+            template = Template(kind, {"case_id": self.config.case_id})
+            try:
+                while self._session.take(template, timeout_ms=0) is not None:
+                    pass
             except SpacefarmError:
                 return
 
     def _fail_case(self, error: SpacefarmError) -> None:
         cfg = self.config
-        self._over.set()
-        session = self._session
-        with self._lock:
-            open_txns = [r.txn_id for r in self._records.values() if r.txn_id]
-        for txn in open_txns:
+        # Without its configuration no worker runs the case's tasks again: a
+        # worker that claims one commits, which drops it. Attempts already
+        # running end on their own; wait for them, for at most one lease, so
+        # whatever they restore or publish is swept too.
+        self._sweep("ConfigurationEntry")
+        deadline = time.monotonic() + cfg.task_lease_ms / 1000.0
+        while True:
             try:
-                session.txn_abort(txn)
+                tasks = self._session.admin_status(cfg.case_id)["case"]["tasks"]
             except SpacefarmError:
-                pass
-        self._sweep_case()
+                break
+            self._sweep("TaskEntry", "FileEntry", "ResultEntry", "RowEntry")
+            # No task waiting, held or with an uncollected result: none can
+            # come back, so this sweep left nothing behind.
+            if not any(tasks.values()) or time.monotonic() >= deadline:
+                break
+            time.sleep(0.05)
         self.execlog.emit("case-failed", case_id=cfg.case_id, error=str(error))
         raise error
 

@@ -17,7 +17,7 @@ import time
 from typing import Any
 
 from . import wire
-from .entries import TaskState, Template, entry_from_wire, entry_to_wire
+from .entries import Template, entry_from_wire, entry_to_wire
 from .errors import BadRequest, SpacefarmError, UnknownOp, error_code
 from .space import CANCELLED, SpaceCore
 from .transactions import SweepLoop, TxnManager
@@ -32,7 +32,6 @@ class _Conn:
         self.outq: queue.SimpleQueue = queue.SimpleQueue()
         self.cancel = threading.Event()
         self.subs: list[str] = []
-        self.abort_subs: list[str] = []
 
     def push(self, message: dict[str, Any]) -> None:
         self.outq.put(message)
@@ -174,8 +173,6 @@ class SpaceServer:
         self.space.poke()  # wake parked lookups so they notice the cancel
         for sub_id in conn.subs:
             self.space.unsubscribe(sub_id)
-        for sub_id in conn.abort_subs:
-            self.txns.unsubscribe_aborts(sub_id)
         conn.outq.put(None)
         try:
             conn.sock.shutdown(socket.SHUT_RDWR)
@@ -250,7 +247,7 @@ class SpaceServer:
         return {"subscription_id": sub_id}
 
     def _op_txn_create(self, conn: _Conn, params: dict[str, Any]) -> Any:
-        txn_id = self.txns.create(int(params["lease_ms"]), tag=params.get("tag"))
+        txn_id = self.txns.create(int(params["lease_ms"]))
         return {"txn_id": txn_id}
 
     def _op_txn_renew(self, conn: _Conn, params: dict[str, Any]) -> Any:
@@ -271,16 +268,7 @@ class SpaceServer:
             "txn_id": rec.txn_id,
             "state": rec.state,
             "lease_ms": rec.lease_ms,
-            "tag": rec.tag,
         }
-
-    def _op_txn_subscribe_aborts(self, conn: _Conn, params: dict[str, Any]) -> Any:
-        def deliver(sub_id: str, txn_id: str, tag: str | None) -> None:
-            conn.push(wire.event(sub_id, {"txn_id": txn_id, "tag": tag}))
-
-        sub_id = self.txns.subscribe_aborts(deliver, tag=params.get("tag"))
-        conn.abort_subs.append(sub_id)
-        return {"subscription_id": sub_id}
 
     def _op_admin_status(self, conn: _Conn, params: dict[str, Any]) -> Any:
         stats = self.space.stats()
@@ -296,29 +284,22 @@ class SpaceServer:
         return status
 
     def _case_counts(self, case_id: str) -> dict[str, Any]:
-        counts = {}
-        for kind in ("FileEntry", "ResultEntry", "RowEntry"):
-            counts[kind] = self.space.count_visible(
-                Template(kind, {"case_id": case_id})
-            )
-        stop = self.space.count_visible(Template("StopEntry", {"case_id": case_id}))
-        tasks = {
-            label: self.space.count_visible(
-                Template("TaskEntry", {"case_id": case_id, "state": state})
-            )
-            for label, state in (
-                ("wait", TaskState.WAIT_FOR_COMPUTING),
-                ("on", TaskState.ON_COMPUTING),
-                ("computed", TaskState.COMPUTED),
-            )
+        """Task entries waiting (visible) and on (held by a worker's open
+        transaction); computed are the results the master has not collected."""
+        kinds = ("TaskEntry", "FileEntry", "ResultEntry", "RowEntry", "StopEntry")
+        counts = {
+            kind: self.space.count(Template(kind, {"case_id": case_id}))
+            for kind in kinds
         }
+        wait, on = counts["TaskEntry"]
+        results = counts["ResultEntry"][0]
         return {
             "case_id": case_id,
-            "tasks": tasks,
-            "file_entries": counts["FileEntry"],
-            "result_entries": counts["ResultEntry"],
-            "row_entries": counts["RowEntry"],
-            "stop": stop > 0,
+            "tasks": {"wait": wait, "on": on, "computed": results},
+            "file_entries": counts["FileEntry"][0],
+            "result_entries": results,
+            "row_entries": counts["RowEntry"][0],
+            "stop": counts["StopEntry"][0] > 0,
         }
 
     _OPS = {
@@ -331,6 +312,5 @@ class SpaceServer:
         "txn.commit": _op_txn_commit,
         "txn.abort": _op_txn_abort,
         "txn.status": _op_txn_status,
-        "txn.subscribe_aborts": _op_txn_subscribe_aborts,
         "admin.status": _op_admin_status,
     }

@@ -351,14 +351,17 @@ class SpaceCore:
 
     # -- introspection ---------------------------------------------------------
 
-    def count_visible(self, template: Template) -> int:
+    def count(self, template: Template) -> tuple[int, int]:
+        """Matching entries as (globally visible, held taken by an open
+        transaction)."""
         with self._cond:
             self._purge_expired()
-            return sum(
-                1
-                for st in self._entries.values()
-                if st.vis == _GLOBAL and template.matches(st.entry)
-            )
+            visible = held = 0
+            for st in self._entries.values():
+                if template.matches(st.entry):
+                    visible += st.vis == _GLOBAL
+                    held += st.vis == _TAKEN
+            return visible, held
 
     def visible_entries(self, template: Template | None = None) -> list[Entry]:
         """Globally visible entries, oldest first."""

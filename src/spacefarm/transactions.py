@@ -3,7 +3,8 @@
 Every transaction is a leased visibility scope over the space: commit promotes
 its writes and finalizes its takes, abort (explicit or by lease expiry) undoes
 both.  Expiry is the failure detector of the whole architecture: a worker that
-stops renewing its task transaction is presumed dead and its task is replayed.
+stops renewing its task transaction is presumed dead, and the abort puts the
+task it took back in the bag, which is the replay.
 
 The manager shares one lock with the space so a transaction check and the
 operation it guards are a single atomic step.  The only participant is the
@@ -35,14 +36,6 @@ class TxnRecord:
     state: str
     lease_ms: int
     deadline: float
-    tag: str | None = None
-
-
-@dataclass
-class _AbortSub:
-    sub_id: str
-    tag: str | None  # None matches every abort
-    callback: Callable[[str, str, str | None], None]
 
 
 class TxnManager:
@@ -56,11 +49,10 @@ class TxnManager:
         self._lock = lock if lock is not None else threading.RLock()
         self._clock = clock
         self._records: dict[str, TxnRecord] = {}
-        self._abort_subs: dict[str, _AbortSub] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
-    def create(self, lease_ms: int, tag: str | None = None) -> str:
+    def create(self, lease_ms: int) -> str:
         if lease_ms < MIN_LEASE_MS:
             raise ValueError(f"lease_ms must be >= {MIN_LEASE_MS}, got {lease_ms}")
         with self._lock:
@@ -70,7 +62,6 @@ class TxnManager:
                 state=OPEN,
                 lease_ms=lease_ms,
                 deadline=self._clock() + lease_ms / 1000.0,
-                tag=tag,
             )
             return txn_id
 
@@ -96,9 +87,6 @@ class TxnManager:
     def _finish_abort(self, rec: TxnRecord) -> None:
         rec.state = ABORTED
         self._participant.abort_apply(rec.txn_id)
-        for sub in list(self._abort_subs.values()):
-            if sub.tag is None or sub.tag == rec.tag:
-                sub.callback(sub.sub_id, rec.txn_id, rec.tag)
 
     def _open_record(self, txn_id: str) -> TxnRecord:
         rec = self._records.get(txn_id)
@@ -120,7 +108,6 @@ class TxnManager:
                 state=rec.state,
                 lease_ms=rec.lease_ms,
                 deadline=rec.deadline,
-                tag=rec.tag,
             )
 
     def is_open(self, txn_id: str) -> bool:
@@ -153,26 +140,6 @@ class TxnManager:
             for rec in live:
                 self._finish_abort(rec)
             return [rec.txn_id for rec in live]
-
-    # -- abort events -------------------------------------------------------------
-
-    def subscribe_aborts(
-        self,
-        callback: Callable[[str, str, str | None], None],
-        tag: str | None = None,
-    ) -> str:
-        """At-least-once delivery of every abort whose tag matches the filter.
-
-        The callback runs under the manager lock; it must only enqueue.
-        """
-        with self._lock:
-            sub_id = new_entry_id()
-            self._abort_subs[sub_id] = _AbortSub(sub_id, tag, callback)
-            return sub_id
-
-    def unsubscribe_aborts(self, sub_id: str) -> None:
-        with self._lock:
-            self._abort_subs.pop(sub_id, None)
 
 
 class SweepLoop(threading.Thread):

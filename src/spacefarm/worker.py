@@ -1,13 +1,18 @@
 """Worker runtime: claim a task, run the agent, publish the result.
 
-Claiming is one blocking take of any waiting TaskEntry, oldest first across
-cases: the take is both the mutual exclusion and the wake-up. The worker
-then writes the task back on-computing. Execution happens under the task's
-own transaction T (created by the master at feed time): the FileEntry is read
-under it, the ResultEntry written under it, and a heartbeat renews it at a
-third of its lease, so a dead worker is detected by expiry and the task
-replayed. Marking takes the on-computing entry under T, so it fails once T is
-over, and writes the task back computed for the master to commit.
+The worker owns each task transaction T. It claims with one blocking take of
+the oldest TaskEntry under T, with no case in the template, so the take is
+the mutual exclusion, the wake-up and a fair queue across cases at once. It
+then takes the part's FileEntry under T, runs the agent, writes the
+ResultEntry under T and commits: the task and the file are consumed and the
+result published in one step. T is renewed at the task's lease as soon as
+the task is claimed, then by a heartbeat every third of the lease, so a dead
+worker is detected by expiry. Any abort, by expiry, by the worker itself or
+by an injected fault, restores the task and the file, and the next free
+worker claims them again.
+
+An idle worker keeps one claim transaction across empty claims and renews it
+after each, so waiting for work opens no transactions.
 
 Fault injection for the test harness is compiled in but dormant: the
 SPACEFARM_FAULT environment variable arms hooks at fixed phases of
@@ -32,7 +37,6 @@ from .entries import (
     ConfigurationEntry,
     ResultEntry,
     TaskEntry,
-    TaskState,
     Template,
     decode_payload,
     encode_payload,
@@ -57,14 +61,15 @@ FAULT_PHASES = (
     "after-claim",
     "after-file-read",
     "before-result-write",
-    "before-computed-mark",
+    "before-computed-mark",  # just before the commit
 )
 FAULT_ACTIONS = ("kill", "pause", "abort-txn")
 KILL_EXIT_CODE = 17
 
 CLAIM_WAIT_MS = 800
-CONFIG_WAIT_MS = 2_000
-FILE_WAIT_MS = 2_000
+# Outlasts one claim wait with room to spare, so the claim transaction is
+# still open when the worker renews it at the task's lease.
+CLAIM_LEASE_MS = 2 * CLAIM_WAIT_MS
 
 
 @dataclass
@@ -178,10 +183,22 @@ class Worker:
     def _serve(self, session: Session, stop: threading.Event) -> None:
         session.subscribe(Template("StopEntry"), self._on_stop_event)
         self.execlog.emit("worker-started", worker_id=self.worker_id)
+        txn: str | None = None
         while not stop.is_set():
-            task = self._claim_next(session)
+            try:
+                if txn is None:
+                    txn = session.txn_create(CLAIM_LEASE_MS)
+                else:
+                    session.txn_renew(txn, CLAIM_LEASE_MS)
+                task = session.take(
+                    Template("TaskEntry"), txn=txn, timeout_ms=CLAIM_WAIT_MS
+                )
+            except (TxnNotOpen, UnknownTxn):
+                txn = None  # the claim transaction expired; open another
+                continue
             if task is not None:
-                self._execute(session, task)
+                self._execute(session, task, txn)
+                txn = None
 
     def _on_stop_event(self, seq: int, entry) -> None:
         self._agent_cache.pop(entry.case_id, None)
@@ -189,73 +206,60 @@ class Worker:
             "case-stopped", worker_id=self.worker_id, case_id=entry.case_id
         )
 
-    # -- claiming -----------------------------------------------------------------
-
-    def _claim_next(self, session: Session) -> TaskEntry | None:
-        waiting = session.take(
-            Template("TaskEntry", {"state": TaskState.WAIT_FOR_COMPUTING}),
-            timeout_ms=CLAIM_WAIT_MS,
-        )
-        if waiting is None:
-            return None
-        claimed = waiting.with_state(TaskState.ON_COMPUTING)
-        session.write(claimed)
-        self.execlog.emit(
-            "claimed",
-            worker_id=self.worker_id,
-            case_id=claimed.case_id,
-            part_index=claimed.part_index,
-            txn=claimed.txn_id,
-        )
-        return claimed
-
     # -- execution -----------------------------------------------------------------
 
-    def _execute(self, session: Session, task: TaskEntry) -> None:
-        txn = task.txn_id
+    def _execute(self, session: Session, task: TaskEntry, txn: str) -> None:
+        self._emit("claimed", task, txn)
+        try:
+            # T was opened with the short claim lease; from the claim on it
+            # carries the task's lease.
+            session.txn_renew(txn, task.lease_ms)
+        except (TxnNotOpen, UnknownTxn):
+            return self._abandon(session, task, txn, "lease-lost")
         stop_hb = threading.Event()
         lease_lost = threading.Event()
         heartbeat = threading.Thread(
             target=self._heartbeat,
-            args=(session, txn, stop_hb, lease_lost),
+            args=(session, txn, task.lease_ms, stop_hb, lease_lost),
             name="task-heartbeat",
             daemon=True,
         )
         heartbeat.start()
-        scratch_file: Path | None = None
         try:
             self.faults.fire(
                 "after-claim", self.execlog, session, txn,
                 worker_id=self.worker_id, part_index=task.part_index,
             )
             config = session.read(
-                Template("ConfigurationEntry", {"case_id": task.case_id}),
-                timeout_ms=CONFIG_WAIT_MS,
+                Template("ConfigurationEntry", {"case_id": task.case_id})
             )
             if config is None:
-                return self._abandon(session, task, "configuration-missing")
+                # The case is over: committing drops the orphan task instead
+                # of putting it back.
+                return self._abandon(
+                    session, task, txn, "configuration-missing", commit=True
+                )
             if (
                 self.allowed_agents is not None
                 and config.agent_id not in self.allowed_agents
             ):
-                return self._abandon(session, task, "agent-not-allowed")
+                return self._abandon(session, task, txn, "agent-not-allowed")
             try:
                 descriptor = self._agent_for(config)
             except (AgentNotFound, VersionMismatch) as exc:
-                return self._abandon(session, task, f"agent-unavailable: {exc}")
+                return self._abandon(session, task, txn, f"agent-unavailable: {exc}")
             try:
-                file_entry = session.read(
+                file_entry = session.take(
                     Template(
                         "FileEntry",
                         {"case_id": task.case_id, "part_index": task.part_index},
                     ),
                     txn=txn,
-                    timeout_ms=FILE_WAIT_MS,
                 )
             except (TxnNotOpen, UnknownTxn):
-                return self._abandon(session, task, "lease-lost")
+                return self._abandon(session, task, txn, "lease-lost")
             if file_entry is None:
-                return self._abandon(session, task, "file-entry-missing")
+                return self._abandon(session, task, txn, "file-entry-missing")
             self.faults.fire(
                 "after-file-read", self.execlog, session, txn,
                 worker_id=self.worker_id, part_index=task.part_index,
@@ -263,23 +267,17 @@ class Worker:
             data = decode_payload(file_entry.payload)
             scratch_file = self._scratch_path(task)
             scratch_file.write_bytes(data)
-            self.execlog.emit(
-                "file-read",
-                worker_id=self.worker_id,
-                case_id=task.case_id,
-                part_index=task.part_index,
-                txn=txn,
-            )
+            self._emit("file-read", task, txn)
             params = dict(config.agent_params)
             params[CASE_ID_PARAM] = task.case_id
             try:
                 output = descriptor.execute(data, params, self._space_handle())
             except SpacefarmError as exc:
-                return self._abandon(session, task, f"agent-failure: {exc}")
+                return self._abandon(session, task, txn, f"agent-failure: {exc}")
             except Exception as exc:  # agent bug: replayable, not fatal
-                return self._abandon(session, task, f"agent-failure: {exc!r}")
+                return self._abandon(session, task, txn, f"agent-failure: {exc!r}")
             if lease_lost.is_set():
-                return self._abandon(session, task, "lease-lost")
+                return self._abandon(session, task, txn, "lease-lost")
             self.faults.fire(
                 "before-result-write", self.execlog, session, txn,
                 worker_id=self.worker_id, part_index=task.part_index,
@@ -295,30 +293,33 @@ class Worker:
                     txn=txn,
                 )
             except (TxnNotOpen, UnknownTxn):
-                return self._abandon(session, task, "lease-lost")
-            self.execlog.emit(
-                "result-written",
-                worker_id=self.worker_id,
-                case_id=task.case_id,
-                part_index=task.part_index,
-                txn=txn,
-            )
+                return self._abandon(session, task, txn, "lease-lost")
+            self._emit("result-written", task, txn)
             self.faults.fire(
                 "before-computed-mark", self.execlog, session, txn,
                 worker_id=self.worker_id, part_index=task.part_index,
             )
-            if self._mark_computed(session, task):
-                if scratch_file is not None:
-                    scratch_file.unlink(missing_ok=True)
-                self.execlog.emit(
-                    "computed-marked",
-                    worker_id=self.worker_id,
-                    case_id=task.case_id,
-                    part_index=task.part_index,
-                    txn=txn,
-                )
+            # The commit is the mark now; the event keeps its name because
+            # exec-log readers pair it with result-written and commit.
+            self._emit("computed-marked", task, txn)
+            try:
+                session.txn_commit(txn)
+            except (TxnNotOpen, UnknownTxn):
+                return self._abandon(session, task, txn, "lease-lost")
+            scratch_file.unlink(missing_ok=True)
+            self._emit("commit", task, txn)
         finally:
             stop_hb.set()
+
+    def _emit(self, event: str, task: TaskEntry, txn: str, **fields) -> None:
+        self.execlog.emit(
+            event,
+            worker_id=self.worker_id,
+            case_id=task.case_id,
+            part_index=task.part_index,
+            txn=txn,
+            **fields,
+        )
 
     def _scratch_path(self, task: TaskEntry) -> Path:
         directory = self.scratch_root / self.worker_id / task.case_id
@@ -344,68 +345,32 @@ class Worker:
         self,
         session: Session,
         txn: str,
+        lease_ms: int,
         stop: threading.Event,
         lease_lost: threading.Event,
     ) -> None:
-        try:
-            rec = session.txn_status(txn)
-        except SpacefarmError:
-            lease_lost.set()
-            return
-        if rec.state != "OPEN":
-            lease_lost.set()
-            return
-        period = max(rec.lease_ms / 3.0 / 1000.0, 0.05)
+        period = max(lease_ms / 3.0 / 1000.0, 0.05)
         while not stop.wait(period):
             try:
-                session.txn_renew(txn, rec.lease_ms)
+                session.txn_renew(txn, lease_ms)
             except SpacefarmError:
                 lease_lost.set()
                 return
 
-    def _mark_computed(self, session: Session, task: TaskEntry) -> bool:
+    def _abandon(
+        self,
+        session: Session,
+        task: TaskEntry,
+        txn: str,
+        reason: str,
+        commit: bool = False,
+    ) -> None:
+        """End the attempt: an abort puts the task back, a commit drops it."""
         try:
-            claimed = session.take(
-                Template(
-                    "TaskEntry",
-                    {
-                        "case_id": task.case_id,
-                        "txn_id": task.txn_id,
-                        "state": TaskState.ON_COMPUTING,
-                    },
-                ),
-                txn=task.txn_id,
-                timeout_ms=0,
-            )
-        except (TxnNotOpen, UnknownTxn):
-            claimed = None
-        if claimed is None:
-            # The attempt is over; the master replays the part under a fresh
-            # transaction, which owns the result.
-            self._abandon(session, task, "task-superseded")
-            return False
-        session.write(claimed.with_state(TaskState.COMPUTED))
-        return True
-
-    def _abandon(self, session: Session, task: TaskEntry, reason: str) -> None:
-        try:
-            session.txn_abort(task.txn_id)
+            if commit:
+                session.txn_commit(txn)
+            else:
+                session.txn_abort(txn)
         except SpacefarmError:
             pass
-        try:
-            # The master sweeps the dead attempt's task entries when it sees
-            # the abort; this takes an entry we wrote after that sweep.
-            session.take(
-                Template("TaskEntry", {"case_id": task.case_id, "txn_id": task.txn_id}),
-                timeout_ms=0,
-            )
-        except SpacefarmError:
-            pass
-        self.execlog.emit(
-            "task-abandoned",
-            worker_id=self.worker_id,
-            case_id=task.case_id,
-            part_index=task.part_index,
-            txn=task.txn_id,
-            reason=reason,
-        )
+        self._emit("task-abandoned", task, txn, reason=reason)

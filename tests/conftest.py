@@ -125,7 +125,6 @@ def make_case_config(tmp_path, address: str, *, input_bytes: bytes, **overrides)
         initial_workers=1,
         task_lease_ms=10_000,
         max_attempts=5,
-        backoff_base_ms=100,
         tmp_dir=str(tmp_path / "parts"),
         startup_grace_ms=120_000,
     )

@@ -289,7 +289,6 @@ def _kill_scenario(tmp_path, phase: str) -> Scenario:
                 "initial_workers": 3,
                 "task_lease_ms": 2_500,
                 "max_attempts": 5,
-                "backoff_base_ms": 500,
                 "startup_grace_ms": 60_000,
             },
             "faults": [{"target": 0, "trigger": phase, "action": "kill"}],
@@ -379,7 +378,6 @@ def test_acceptance_5_adaptability(tmp_path):
                     "initial_workers": 2,
                     "task_lease_ms": 2_500,
                     "max_attempts": 5,
-                    "backoff_base_ms": 500,
                     "startup_grace_ms": 60_000,
                 },
                 "faults": [
@@ -422,84 +420,72 @@ def test_acceptance_5_adaptability(tmp_path):
 
 
 def _scan_task_intervals(history, case_id):
-    """Walk the linearized history; per part, the open attempts held by workers
-    must never overlap.
+    """Walk the linearized history; per part, claims must never overlap.
 
-    An attempt is held from the take of its waiting TaskEntry until the commit
-    or abort of its transaction. Taking the waiting entry of an attempt that
-    has already ended opens nothing: that transaction can do no more work.
-    Returns (claims, overlaps).
+    A claim is a take of a visible TaskEntry of the case under a transaction;
+    it is held until that transaction commits or aborts. A take outside any
+    transaction is not a claim. Returns (claims, overlaps, consumed), where
+    consumed counts, per part, the commits that deleted its task entry.
     """
-    waiting = {}  # seq of a waiting TaskEntry of the case -> (part, txn)
-    ended = set()
-    holders = {}  # part -> txn of the attempt currently held
+    parts = {}  # seq of a TaskEntry of the case -> its part
+    holders = {}  # part -> transaction holding its entry
+    consumed = Counter()
     claims = 0
     overlaps = 0
     for row in sorted(history, key=lambda r: r["order"]):
         op = row["op"]
         if op == "write":
             entry = row["entry"]
-            if (
-                entry.get("kind") == "TaskEntry"
-                and entry.get("case_id") == case_id
-                and entry.get("state") == "WAIT_FOR_COMPUTING"
-            ):
-                waiting[row["seq"]] = (entry["part_index"], entry["txn_id"])
-        elif op == "take" and row.get("seq") in waiting:
+            if entry.get("kind") == "TaskEntry" and entry.get("case_id") == case_id:
+                parts[row["seq"]] = entry["part_index"]
+        elif op == "take" and row.get("seq") in parts and row["txn"] is not None:
             claims += 1
-            part, txn = waiting.pop(row["seq"])
-            if txn in ended:
-                continue
-            if holders.get(part) not in (None, txn):
+            part = parts[row["seq"]]
+            if part in holders:
                 overlaps += 1
-            holders[part] = txn
+            holders[part] = row["txn"]
         elif op in ("commit", "abort"):
-            ended.add(row["txn"])
             for part, txn in list(holders.items()):
                 if txn == row["txn"]:
                     del holders[part]
-    return claims, overlaps
+            if op == "commit":
+                consumed.update(parts[seq] for seq in row["deleted"] if seq in parts)
+    return claims, overlaps, consumed
 
 
-def _task_write(order, seq, part, txn, state="WAIT_FOR_COMPUTING"):
-    entry = {
-        "kind": "TaskEntry",
-        "case_id": "c",
-        "part_index": part,
-        "txn_id": txn,
-        "state": state,
-        "enqueued_at": 0,
-    }
+def _task_write(order, seq, part):
+    entry = {"kind": "TaskEntry", "case_id": "c", "part_index": part, "lease_ms": 1}
     return {"op": "write", "order": order, "seq": seq, "txn": None, "entry": entry}
 
 
-def _take(order, seq):
-    return {"op": "take", "order": order, "seq": seq, "txn": None, "template": {}}
+def _take(order, seq, txn):
+    return {"op": "take", "order": order, "seq": seq, "txn": txn, "template": {}}
 
 
 def test_task_scanner_counts_two_open_attempts_of_one_part():
     history = [
-        _task_write(1, 1, 0, "t1"),
-        _task_write(2, 2, 0, "t2"),
-        _take(3, 1),
-        _take(4, 2),  # t1 still open: two workers hold part 0
-        {"op": "commit", "order": 5, "txn": "t1"},
+        _task_write(1, 1, 0),
+        _take(2, 1, "t1"),
+        _take(3, 1, "t2"),  # t1 still open: two workers hold part 0
+        {"op": "commit", "order": 4, "txn": "t1", "promoted": [], "deleted": [1]},
+        {"op": "commit", "order": 5, "txn": "t2", "promoted": [], "deleted": [1]},
     ]
-    assert _scan_task_intervals(history, "c") == (2, 1)
+    claims, overlaps, consumed = _scan_task_intervals(history, "c")
+    assert (claims, overlaps, consumed) == (2, 1, {0: 2})
 
 
 def test_task_scanner_ignores_claim_of_an_aborted_attempt():
     history = [
-        _task_write(1, 1, 0, "t1"),
-        {"op": "abort", "order": 2, "txn": "t1"},
-        _task_write(3, 2, 0, "t2"),
-        _take(4, 2),
-        _take(5, 1),  # t1's waiting entry, claimed after t1 ended
-        _task_write(6, 3, 1, "t3", state="ON_COMPUTING"),
-        _take(7, 3),  # not a waiting entry: not a claim
-        {"op": "commit", "order": 8, "txn": "t2"},
+        _task_write(1, 1, 0),
+        _task_write(2, 2, 1),
+        _take(3, 1, "t1"),
+        {"op": "abort", "order": 4, "txn": "t1", "restored": [1], "deleted": []},
+        _take(5, 1, "t2"),  # the restored entry, claimed after t1 ended
+        _take(6, 2, None),  # a take outside a transaction is not a claim
+        {"op": "commit", "order": 7, "txn": "t2", "promoted": [], "deleted": [1]},
     ]
-    assert _scan_task_intervals(history, "c") == (2, 0)
+    claims, overlaps, consumed = _scan_task_intervals(history, "c")
+    assert (claims, overlaps, consumed) == (2, 0, {0: 1})
 
 
 def test_acceptance_6_scheduler_mutual_exclusion(tmp_path):
@@ -527,10 +513,11 @@ def test_acceptance_6_scheduler_mutual_exclusion(tmp_path):
         marks = Counter(
             e["part_index"] for e in events if e["event"] == "computed-marked"
         )
-        once = commits == dict.fromkeys(range(100), 1) and marks == dict.fromkeys(
-            range(100), 1
+        claims, overlaps, consumed = _scan_task_intervals(
+            srv.space.history, "mutex-100"
         )
-        claims, overlaps = _scan_task_intervals(srv.space.history, "mutex-100")
+        each_once = dict.fromkeys(range(100), 1)
+        once = commits == each_once and marks == each_once and consumed == each_once
         passed = once and claims >= 100 and overlaps == 0 and report.results == 100
         detail = (
             f"commits={'1 each' if once else dict(commits)} "

@@ -1,10 +1,15 @@
 """Command line entry points and their exit-code contract."""
 
 import json
+import threading
+import time
 
 import pytest
 
+from conftest import make_case_config, running_workers
 from spacefarm.cli import build_parser, main
+from spacefarm.master import Master
+from spacefarm.worker import FaultInjector, _Fault
 
 
 def test_parser_knows_all_commands():
@@ -95,6 +100,26 @@ def test_status_reports_case_snapshot(address, capsys):
     snapshot = json.loads(capsys.readouterr().out)
     assert snapshot["case_id"] == "case-zzz"
     assert snapshot["tasks"] == {"wait": 0, "on": 0, "computed": 0}
+
+
+def test_status_counts_a_task_held_by_a_paused_worker(tmp_path, address, capsys):
+    config = make_case_config(
+        tmp_path, address, input_bytes=b"x", case_id="held", num_parts=1
+    )
+    pause = _Fault(phase="after-file-read", action="pause", pause_ms=2_000)
+    with running_workers(address, 1, tmp_path, injectors={0: FaultInjector([pause])}):
+        master = threading.Thread(target=Master(config).run, daemon=True)
+        master.start()
+        for _ in range(100):
+            assert main(["status", "--space", address, "--case", "held"]) == 0
+            snapshot = json.loads(capsys.readouterr().out)
+            if snapshot["tasks"]["on"]:
+                break
+            time.sleep(0.05)
+        master.join(timeout=30)
+    assert snapshot["tasks"] == {"wait": 0, "on": 1, "computed": 0}
+    assert snapshot["file_entries"] == 0  # taken under the worker's transaction
+    assert not master.is_alive()
 
 
 def test_serve_bad_bind_is_usage_error(capsys):

@@ -1,4 +1,4 @@
-"""Entry kinds, payload codec, task state machine, and template matching."""
+"""Entry kinds, payload codec, and template matching."""
 
 import pytest
 from hypothesis import given
@@ -11,7 +11,6 @@ from spacefarm.entries import (
     RowEntry,
     StopEntry,
     TaskEntry,
-    TaskState,
     Template,
     decode_payload,
     encode_payload,
@@ -30,7 +29,7 @@ def sample_entries():
         ResultEntry("case-a", 0, new_entry_id(), encode_payload(b"")),
         ConfigurationEntry("case-a", "echo", "1", {"delay_ms": "0"}, 4),
         StopEntry("case-a"),
-        TaskEntry("case-a", 0, "txn-1", TaskState.ON_COMPUTING, 42),
+        TaskEntry("case-a", 0, 30_000),
         RowEntry("case-a", "0", 3, ("1", "0.5", "-2.25e-1")),
     ]
 
@@ -66,21 +65,6 @@ def test_entry_id_parse_is_strict_identity():
             parse_entry_id(bad)
 
 
-def test_task_transitions():
-    task = TaskEntry("c", 1, "t")
-    on = task.with_state(TaskState.ON_COMPUTING)
-    assert on.state is TaskState.ON_COMPUTING
-    assert on.with_state(TaskState.COMPUTED).state is TaskState.COMPUTED
-    assert on.with_state(TaskState.WAIT_FOR_COMPUTING).state is TaskState.WAIT_FOR_COMPUTING
-    with pytest.raises(ValueError):
-        task.with_state(TaskState.COMPUTED)  # must pass through ON_COMPUTING
-    with pytest.raises(ValueError):
-        on.with_state(TaskState.ON_COMPUTING)
-    done = on.with_state(TaskState.COMPUTED)
-    with pytest.raises(ValueError):
-        done.with_state(TaskState.WAIT_FOR_COMPUTING)
-
-
 def test_template_matches_on_exact_scalar_equality():
     entry = FileEntry("case-a", 2, new_entry_id(), encode_payload(b"x"))
     assert Template("FileEntry").matches(entry)
@@ -100,7 +84,7 @@ def test_template_rejects_unknown_kind_and_bulk_fields():
 
 def test_matchable_fields_exclude_bulk_data():
     assert "payload" not in matchable_fields("FileEntry")
-    assert {"case_id", "txn_id", "state"} <= matchable_fields("TaskEntry")
+    assert matchable_fields("TaskEntry") == {"case_id", "part_index", "lease_ms"}
     assert "values" not in matchable_fields("RowEntry")
     assert {"case_id", "matrix_id", "row_index"} <= matchable_fields("RowEntry")
 

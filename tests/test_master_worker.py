@@ -20,10 +20,17 @@ from conftest import (
     spd_matrix,
 )
 from spacefarm.agents import AgentDescriptor, _REGISTRY, cholesky, register
+from spacefarm.entries import (
+    FileEntry,
+    TaskEntry,
+    Template,
+    encode_payload,
+    new_entry_id,
+)
 from spacefarm.errors import ConfigError, CutFailed, MaxAttemptsExceeded
 from spacefarm.execlog import load_events
 from spacefarm.master import CaseConfig, Master
-from spacefarm.worker import FaultInjector, _Fault
+from spacefarm.worker import CLAIM_WAIT_MS, FaultInjector, _Fault
 
 
 NO_TASKS = {"wait": 0, "on": 0, "computed": 0}
@@ -31,6 +38,10 @@ NO_TASKS = {"wait": 0, "on": 0, "computed": 0}
 
 def task_counts(session, case_id):
     return session.admin_status(case_id)["case"]["tasks"]
+
+
+def configuration(session, case_id):
+    return session.read(Template("ConfigurationEntry", {"case_id": case_id}))
 
 
 def test_echo_case_round_trips_output(tmp_path, address, session):
@@ -42,6 +53,7 @@ def test_echo_case_round_trips_output(tmp_path, address, session):
     with open(config.output_path, "rb") as fh:
         assert fh.read() == payload
     assert task_counts(session, config.case_id) == NO_TASKS
+    assert configuration(session, config.case_id) is None
 
 
 def test_bbp_case_produces_pi_digits(tmp_path, address):
@@ -118,13 +130,56 @@ def test_failing_agent_exhausts_attempts(tmp_path, address, session):
             agent_id="always-fails",
             num_parts=1,
             max_attempts=2,
-            backoff_base_ms=50,
         )
         with pytest.raises(MaxAttemptsExceeded):
             run_case_with_workers(config, 1, tmp_path)
         assert task_counts(session, config.case_id) == NO_TASKS
+        assert configuration(session, config.case_id) is None
     finally:
         del _REGISTRY[descriptor.key]
+
+
+def test_queue_time_does_not_count_against_the_lease(tmp_path, address):
+    """A lease starts at the claim: with one worker the last parts wait far
+    longer than one lease in the bag, yet none of them is replayed."""
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=bytes(range(16)),
+        num_parts=16,
+        task_lease_ms=1_000,
+        max_attempts=3,
+        agent_params={"delay_ms": 300},
+    )
+    report = run_case_with_workers(config, 1, tmp_path)
+    assert report.results == 16
+    assert report.replays == 0
+
+
+def test_task_of_a_finished_case_is_dropped_not_replayed(tmp_path, address, session):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    session.write(FileEntry("gone", 0, new_entry_id(), encode_payload(b"x")))
+    session.write(TaskEntry("gone", 0, 1_000))
+    with running_workers(address, 1, tmp_path, execlog_dir=logs):
+        deadline = time.monotonic() + 10
+        while task_counts(session, "gone") != NO_TASKS and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.3)  # a task put back would be claimed again here
+    assert task_counts(session, "gone") == NO_TASKS
+    events = load_events([str(p) for p in logs.iterdir()])
+    claims = [e for e in events if e["event"] == "claimed"]
+    dropped = [e for e in events if e["event"] == "task-abandoned"]
+    assert len(claims) == 1
+    assert [e["reason"] for e in dropped] == ["configuration-missing"]
+
+
+def test_idle_workers_keep_one_claim_transaction(server, address, tmp_path):
+    before = len(server.txns._records)
+    with running_workers(address, 2, tmp_path):
+        time.sleep(3.5 * CLAIM_WAIT_MS / 1000.0)
+        grown = len(server.txns._records) - before
+    assert grown <= 2
 
 
 def test_exactly_once_commits_in_execution_log(tmp_path, address):

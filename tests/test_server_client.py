@@ -46,12 +46,12 @@ def test_write_read_take_roundtrip(session):
 
 def test_transactions_over_the_wire(session):
     template = Template("StopEntry", {"case_id": "txn-case"})
-    txn = session.txn_create(5_000, tag="txn-case")
+    txn = session.txn_create(5_000)
     session.write(StopEntry(case_id="txn-case"), txn=txn)
     assert session.read(template) is None
     assert session.read(template, txn=txn) is not None
     rec = session.txn_status(txn)
-    assert rec.state == "OPEN" and rec.lease_ms == 5_000 and rec.tag == "txn-case"
+    assert rec.state == "OPEN" and rec.lease_ms == 5_000
     session.txn_commit(txn)
     assert session.read(template) is not None
     with pytest.raises(TxnNotOpen):
@@ -150,17 +150,6 @@ def test_subscription_sees_commit_promotions(session):
     assert inbox.get(timeout=5) is not None
 
 
-def test_abort_subscription_filters_by_tag(session):
-    inbox: queue.Queue = queue.Queue()
-    session.subscribe_aborts(lambda txn_id, tag: inbox.put((txn_id, tag)), tag="mine")
-    mine = session.txn_create(5_000, tag="mine")
-    other = session.txn_create(5_000, tag="other")
-    session.txn_abort(other)
-    session.txn_abort(mine)
-    assert inbox.get(timeout=5) == (mine, "mine")
-    assert inbox.empty()
-
-
 def test_admin_status_reports_counts(session):
     session.write(StopEntry(case_id="status-case"))
     txn = session.txn_create(5_000)
@@ -199,8 +188,8 @@ def test_shutdown_aborts_open_transactions():
         session.take(Template("StopEntry", {"case_id": "held"}), txn=txn)
         server.shutdown(drain_ms=0)
         assert server.txns.status(txn).state == "ABORTED"
-        restored = server.space.count_visible(Template("StopEntry", {"case_id": "held"}))
-        assert restored == 1
+        restored = server.space.count(Template("StopEntry", {"case_id": "held"}))
+        assert restored == (1, 0)
     finally:
         session.close()
 

@@ -112,6 +112,18 @@ def test_take_under_txn_restored_on_abort():
     assert core.read(tmpl("a")) == stop("a")  # back, same entry
 
 
+def test_restored_entry_keeps_its_place_in_the_order():
+    """An aborted claim puts the task back ahead of newer ones: the restore
+    is the replay, so it must not send the part to the end of the bag."""
+    core, txns = make_pair()
+    core.write(stop("older"))
+    core.write(stop("newer"))
+    txn = txns.create(10_000)
+    assert core.take(Template("StopEntry"), txn=txn) == stop("older")
+    txns.abort(txn)
+    assert core.take(Template("StopEntry")) == stop("older")
+
+
 def test_take_under_txn_deleted_on_commit():
     core, txns = make_pair()
     core.write(stop("a"))
@@ -219,7 +231,10 @@ def test_count_and_visible_entries():
     core.write(stop("a"))
     txn = txns.create(10_000)
     core.write(stop("a"), txn=txn)
-    assert core.count_visible(tmpl("a")) == 2
+    assert core.count(tmpl("a")) == (2, 0)
     assert core.visible_entries(tmpl("a")) == [stop("a"), stop("a")]
     stats = core.stats()
     assert stats["entries"] == 2 and stats["stored"] == 3
+    holder = txns.create(10_000)
+    core.take(tmpl("a"), txn=holder)
+    assert core.count(tmpl("a")) == (1, 1)  # visible, held by an open txn

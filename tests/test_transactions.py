@@ -1,4 +1,4 @@
-"""Transaction lifecycle, lease expiry sweeps, and abort notifications."""
+"""Transaction lifecycle and lease expiry sweeps."""
 
 import threading
 
@@ -27,9 +27,9 @@ def make_pair(clock):
 
 def test_lifecycle_and_status(fake_clock):
     _, txns = make_pair(fake_clock)
-    txn = txns.create(1_000, tag="case-x")
+    txn = txns.create(1_000)
     rec = txns.status(txn)
-    assert rec.state == OPEN and rec.lease_ms == 1_000 and rec.tag == "case-x"
+    assert rec.state == OPEN and rec.lease_ms == 1_000
     assert txns.is_open(txn)
     txns.commit(txn)
     assert txns.status(txn).state == COMMITTED
@@ -88,36 +88,3 @@ def test_abort_all(fake_clock):
     txns.commit(first)
     assert txns.abort_all() == [second]
     assert txns.open_count() == 0
-
-
-def test_abort_events_filter_by_tag(fake_clock):
-    _, txns = make_pair(fake_clock)
-    seen = []
-    txns.subscribe_aborts(lambda sub, txn, tag: seen.append(("mine", txn, tag)), tag="x")
-    txns.subscribe_aborts(lambda sub, txn, tag: seen.append(("all", txn, tag)))
-    tagged = txns.create(1_000, tag="x")
-    other = txns.create(1_000, tag="y")
-    txns.abort(tagged)
-    txns.abort(other)
-    assert ("mine", tagged, "x") in seen
-    assert ("mine", other, "y") not in [s for s in seen if s[0] == "mine"]
-    assert {s[1] for s in seen if s[0] == "all"} == {tagged, other}
-
-
-def test_abort_events_fire_on_expiry(fake_clock):
-    _, txns = make_pair(fake_clock)
-    seen = []
-    txns.subscribe_aborts(lambda sub, txn, tag: seen.append(txn))
-    txn = txns.create(1_000)
-    fake_clock.advance(2.0)
-    txns.sweep()
-    assert seen == [txn]
-
-
-def test_unsubscribe_aborts(fake_clock):
-    _, txns = make_pair(fake_clock)
-    seen = []
-    sub = txns.subscribe_aborts(lambda s, txn, tag: seen.append(txn))
-    txns.unsubscribe_aborts(sub)
-    txns.abort(txns.create(1_000))
-    assert seen == []
