@@ -1,31 +1,20 @@
 """Builds the optional compiled digit-extraction kernel.
 
 The package is fully functional without the extension: spacefarm.agents.bbp
-falls back to the pure-Python kernel when the compiled module is absent.
-Set SPACEFARM_PURE=1 to skip the extension build entirely.
+falls back to the pure-Python kernel when the compiled module is absent. The
+extension is optional, so an install on a host without a C compiler goes on
+and yields the pure kernel only.
 """
 
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-if os.environ.get("SPACEFARM_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "spacefarm.agents._bbp",
-                    ["src/spacefarm/agents/_bbp.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "spacefarm.agents._bbp",
+            ["src/spacefarm/agents/_bbp.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

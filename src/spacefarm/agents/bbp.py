@@ -1,24 +1,18 @@
 """BBP pi-digit agent: the part text names a position range, the output is
 the uppercase hex digits of pi over that range.
 
-The compiled kernel is preferred; the pure-Python twin is selected when the
-extension is unavailable or SPACEFARM_PURE=1 is set. Both produce identical
-digits; they differ only in speed.
+The compiled C kernel is used when the extension was built; otherwise the
+pure-Python twin is. Both produce identical digits; they differ only in speed.
 """
 
 from __future__ import annotations
 
-import os
-
 from ..errors import PositionOverflow
 
-if os.environ.get("SPACEFARM_PURE") == "1":
+try:
+    from . import _bbp as _kernel  # type: ignore[attr-defined]
+except ImportError:
     from . import _bbp_py as _kernel
-else:
-    try:
-        from . import _bbp as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _bbp_py as _kernel
 
 BACKEND: str = _kernel.BACKEND
 hex_digits = _kernel.hex_digits

@@ -1,6 +1,14 @@
 """Pi hex-digit kernels against an arbitrary-precision oracle."""
 
+import importlib.machinery
+import importlib.util
+import pathlib
 import random
+import subprocess
+import sys
+import tempfile
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +18,40 @@ from conftest import pi_hex
 from spacefarm.agents import bbp, _bbp_py
 from spacefarm.errors import PositionOverflow
 
-# The compiled twin is exercised when the build produced it; the suite stays
-# meaningful either way because bbp re-exports whichever kernel is active.
-KERNELS = [_bbp_py]
-if bbp.BACKEND == "compiled":
-    from spacefarm.agents import _bbp
 
-    KERNELS.append(_bbp)
+def _compiled_kernels():
+    """[compiled kernel]: the installed one, or else one built by the
+    project's setup.py into a temporary directory. [] when the optional
+    build yields no extension (no C compiler)."""
+    try:
+        from spacefarm.agents import _bbp
+    except ImportError:
+        pass
+    else:
+        return [_bbp]
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(
+            [sys.executable, "setup.py", "-q", "build_ext",
+             "--build-lib", tmp, "--build-temp", f"{tmp}/build"],
+            cwd=root, check=True, capture_output=True,
+        )
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = pathlib.Path(tmp, "spacefarm", "agents", "_bbp" + suffix)
+            if path.exists():
+                spec = importlib.util.spec_from_file_location(
+                    "spacefarm.agents._bbp", path
+                )
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return [module]
+    return []
+
+
+# Both kernels are tested wherever a C compiler is present; without one only
+# the pure kernel is built, and bbp re-exports it.
+COMPILED = _compiled_kernels()
+KERNELS = [_bbp_py, *COMPILED]
 
 
 FIRST_80 = (
@@ -90,3 +125,31 @@ def test_execute_guards_position_overflow():
     assert bbp.execute(b"999 2", {"max_position": "1000"}, None) == pi_hex(
         999, 2
     ).encode("ascii")
+
+
+@pytest.mark.parametrize("kernel", COMPILED, ids=lambda k: k.BACKEND)
+def test_compiled_kernel_releases_the_interpreter_lock(kernel):
+    # A worker's heartbeat thread renews its task lease while the agent runs;
+    # a kernel that held the lock would let the lease expire.
+    ticks = 0
+    stop = threading.Event()
+
+    def tick():
+        nonlocal ticks
+        while not stop.is_set():
+            ticks += 1
+            time.sleep(0.001)
+
+    ticker = threading.Thread(target=tick, daemon=True)
+    ticker.start()
+    try:
+        before = ticks
+        kernel.hex_digits(200_000, 16)
+        during = ticks - before
+    finally:
+        stop.set()
+        ticker.join(timeout=5)
+    assert not ticker.is_alive()
+    assert during >= 10, during
+    with pytest.raises(OverflowError):
+        kernel.hex_digits(2**70, 1)
