@@ -2,12 +2,12 @@
 
 A Session is safe to share between threads: calls are matched to responses by
 req_id, and subscription events are delivered on a dedicated dispatcher thread
-(callbacks must not issue blocking calls on the same session).  A background
-heartbeat keeps idle connections alive.
+(callbacks must not issue blocking calls on the same session).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import queue
@@ -26,8 +26,6 @@ from .errors import (
 from .transactions import TxnRecord
 
 log = logging.getLogger(__name__)
-
-HEARTBEAT_S = 5.0
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -60,18 +58,11 @@ class Session:
         self._cb_lock = threading.Lock()
         self._events: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = threading.Event()
-        self._reader = threading.Thread(
-            target=self._read_loop, name="session-reader", daemon=True
-        )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="session-events", daemon=True
-        )
-        self._heartbeat = threading.Thread(
-            target=self._heartbeat_loop, name="session-heartbeat", daemon=True
-        )
-        self._reader.start()
-        self._dispatcher.start()
-        self._heartbeat.start()
+        for loop, name in (
+            (self._read_loop, "session-reader"),
+            (self._dispatch_loop, "session-events"),
+        ):
+            threading.Thread(target=loop, name=name, daemon=True).start()
 
     # -- connection -----------------------------------------------------------
 
@@ -103,14 +94,10 @@ class Session:
         if self._closed.is_set():
             return
         self._closed.set()
-        try:
+        with contextlib.suppress(OSError):
             self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
+        with contextlib.suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass
         self._events.put(None)
         with self._pending_lock:
             pending = list(self._pending.values())
@@ -191,13 +178,6 @@ class Session:
         for msg in held:
             self._events.put(msg)
 
-    def _heartbeat_loop(self) -> None:
-        while not self._closed.wait(HEARTBEAT_S):
-            try:
-                self.call("admin.status")
-            except Exception:
-                return
-
     # -- typed helpers ------------------------------------------------------------------
 
     def write(
@@ -211,29 +191,20 @@ class Session:
         return self.call("space.write", params)["seq"]
 
     def read(
-        self,
-        template: Template,
-        txn: str | None = None,
-        timeout_ms: int | None = 0,
+        self, template: Template, txn: str | None = None, timeout_ms: int | None = 0
     ) -> Entry | None:
-        result = self.call(
-            "space.read",
-            {"template": template.to_wire(), "txn": txn, "timeout_ms": timeout_ms},
-        )
-        raw = result.get("entry")
-        return None if raw is None else entry_from_wire(raw)
+        return self._lookup("space.read", template, txn, timeout_ms)
 
     def take(
-        self,
-        template: Template,
-        txn: str | None = None,
-        timeout_ms: int | None = 0,
+        self, template: Template, txn: str | None = None, timeout_ms: int | None = 0
     ) -> Entry | None:
-        result = self.call(
-            "space.take",
-            {"template": template.to_wire(), "txn": txn, "timeout_ms": timeout_ms},
-        )
-        raw = result.get("entry")
+        return self._lookup("space.take", template, txn, timeout_ms)
+
+    def _lookup(
+        self, op: str, template: Template, txn: str | None, timeout_ms: int | None
+    ) -> Entry | None:
+        params = {"template": template.to_wire(), "txn": txn, "timeout_ms": timeout_ms}
+        raw = self.call(op, params).get("entry")
         return None if raw is None else entry_from_wire(raw)
 
     def subscribe(
@@ -266,12 +237,7 @@ class Session:
 
     def txn_status(self, txn_id: str) -> TxnRecord:
         result = self.call("txn.status", {"txn_id": txn_id})
-        return TxnRecord(
-            txn_id=result["txn_id"],
-            state=result["state"],
-            lease_ms=result["lease_ms"],
-            deadline=0.0,
-        )
+        return TxnRecord(**result, deadline=0.0)
 
     def admin_status(self, case_id: str | None = None) -> dict[str, Any]:
         params = {"case_id": case_id} if case_id else {}
@@ -304,6 +270,7 @@ class WireSpaceHandle:
             if self._session is not None:
                 self._session.close()
                 self._session = None
+
 
 
 class LocalSpaceHandle:

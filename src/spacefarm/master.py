@@ -364,7 +364,8 @@ class Master:
         # replay count is complete.
         while (event := self._next_inbox_event()) != stop:
             self._on_task_event(event)
-        self._sweep("ConfigurationEntry", "RowEntry")
+        # Workers only needed the stop event, so the entry goes too.
+        self._sweep("ConfigurationEntry", "RowEntry", "StopEntry")
         output = Path(cfg.output_path)
         output.parent.mkdir(parents=True, exist_ok=True)
         results = [self._results[index] for index in range(cfg.num_parts)]

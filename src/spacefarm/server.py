@@ -1,16 +1,25 @@
 """TCP server hosting the space and transaction manager behind one port.
 
-Concurrency layout: one accept thread, one reader thread per connection, one
-handler thread per in-flight request (blocking space lookups park there), and
-one writer thread per connection draining an outbound queue so event pushes
-never interleave with responses.  A connection that drops mid-request cancels
-its parked lookups without consuming anything.
+Concurrency layout: one event-loop thread serves everything.  Its `selectors`
+loop accepts connections, reads frames without blocking, runs each request
+to completion in arrival order per connection, and buffers each connection's
+responses and subscription events until its socket takes them.  A lookup
+that finds nothing parks in the space as a waiter, answered later by the
+write, commit or abort that makes a match visible, by its transaction's end,
+or by its deadline, kept in a heap here.  The loop also runs the transaction
+sweep every `txn_sweep_ms`.  A dropped connection's waiters are discarded
+and consume nothing.  Other threads never touch a connection: an in-process
+space call queues its messages, and `shutdown` hands over its abort and
+drain, both waking the loop through a socket pair.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import heapq
 import logging
-import queue
+import selectors
 import socket
 import threading
 import time
@@ -19,22 +28,26 @@ from typing import Any
 from . import wire
 from .entries import Template, entry_from_wire, entry_to_wire
 from .errors import BadRequest, SpacefarmError, UnknownOp, error_code
-from .space import CANCELLED, SpaceCore
-from .transactions import SweepLoop, TxnManager
+from .space import SpaceCore, Waiter
+from .transactions import TxnManager
 
 log = logging.getLogger(__name__)
 
+_READ = selectors.EVENT_READ
+_WRITE = selectors.EVENT_WRITE
+_RECV_BYTES = 256 * 1024
+_PARKED = object()  # a lookup answered later, through its waiter
+_LOOKUPS = {"space.read": False, "space.take": True}  # op -> for_take
+
 
 class _Conn:
-    def __init__(self, sock: socket.socket, peer: str) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.peer = peer
-        self.outq: queue.SimpleQueue = queue.SimpleQueue()
-        self.cancel = threading.Event()
+        self.inbuf = bytearray()
+        self.out = bytearray()
+        self.events = _READ
+        self.greeted = False
         self.subs: list[str] = []
-
-    def push(self, message: dict[str, Any]) -> None:
-        self.outq.put(message)
 
 
 class SpaceServer:
@@ -50,14 +63,16 @@ class SpaceServer:
         self.space = SpaceCore(lock=lock, clock=clock, record_history=record_history)
         self.txns = TxnManager(self.space, lock=lock, clock=clock)
         self.space.set_txn_checker(self.txns.is_open)
-        self._sweeper = SweepLoop(self.txns, period_ms=txn_sweep_ms)
-        self._host = host
-        self._port = port
+        self._sweep_s = txn_sweep_ms / 1000.0
+        self._bind = (host, port)
         self._listener: socket.socket | None = None
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
         self._conns: set[_Conn] = set()
-        self._conns_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._accept_thread: threading.Thread | None = None
+        self._outbox: collections.deque = collections.deque()  # (conn, message)
+        self._deadlines: list[tuple[float, int, Waiter, _Conn, Any]] = []
+        self._drain_s: float | None = None  # set by shutdown
+        self._thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -69,119 +84,167 @@ class SpaceServer:
     def start(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
+        listener.bind(self._bind)
         listener.listen(64)
         self._listener = listener
-        self._sweeper.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="space-accept", daemon=True
+        for sock in (listener, self._wake_r, self._wake_w):
+            sock.setblocking(False)
+        self._selector.register(listener, _READ)
+        self._selector.register(self._wake_r, _READ)
+        self._thread = threading.Thread(
+            target=self._loop, name="space-loop", daemon=True
         )
-        self._accept_thread.start()
+        self._thread.start()
         log.info("listening on %s:%d", *self.address)
 
     def shutdown(self, drain_ms: int = 1500) -> None:
         """Abort every open transaction, then keep serving for a short drain
         window so clients can observe the terminal states, then close."""
-        aborted = self.txns.abort_all()
-        if aborted:
-            log.info("shutdown aborted %d open transactions", len(aborted))
-        if drain_ms > 0:
-            time.sleep(drain_ms / 1000.0)
-        self._stopping.set()
-        self._sweeper.stop()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
+        if self._thread is None:
+            self.txns.abort_all()
+            return
+        if self._drain_s is None:
+            self._drain_s = max(drain_ms, 0) / 1000.0
+            self._wake()
+        self._thread.join()
+
+    def _wake(self) -> None:
+        with contextlib.suppress(OSError):  # the loop is awake already, or gone
+            self._wake_w.send(b"\0")
+
+    # -- event loop --------------------------------------------------------------------
+
+    def _loop(self) -> None:
+        next_sweep = time.monotonic() + self._sweep_s
+        stop_at: float | None = None
+        while True:
+            if stop_at is None and self._drain_s is not None:
+                aborted = self.txns.abort_all()
+                if aborted:
+                    log.info("shutdown aborted %d open transactions", len(aborted))
+                stop_at = time.monotonic() + self._drain_s
+            now = time.monotonic()
+            if stop_at is not None and now >= stop_at:
+                break
+            wake_at = min(next_sweep, stop_at or next_sweep)
+            if self._deadlines:
+                wake_at = min(wake_at, self._deadlines[0][0])
+            for key, mask in self._selector.select(max(wake_at - now, 0.0)):
+                conn = key.data
+                if key.fileobj is self._listener:
+                    self._accept()
+                elif conn is None:
+                    with contextlib.suppress(OSError):
+                        self._wake_r.recv(4096)
+                elif mask & _WRITE:
+                    self._send(conn)
+                if conn is not None and mask & _READ and conn in self._conns:
+                    self._receive(conn)
+            now = time.monotonic()
+            while self._deadlines and self._deadlines[0][0] <= now:
+                _, _, waiter, conn, req_id = heapq.heappop(self._deadlines)
+                if self.space.expire(waiter):
+                    self._push(conn, wire.ok_response(req_id, {"entry": None}))
+            if now >= next_sweep:
+                self.txns.sweep()
+                next_sweep = now + self._sweep_s
+            self._flush()
+        self._flush()  # the answers to the shutdown aborts
+        for conn in list(self._conns):
             self._drop(conn)
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
+        self._selector.close()
 
-    # -- connection handling --------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping.is_set():
-            try:
-                sock, addr = self._listener.accept()
-            except OSError:
-                return
-            conn = _Conn(sock, f"{addr[0]}:{addr[1]}")
-            with self._conns_lock:
-                self._conns.add(conn)
-            threading.Thread(
-                target=self._serve_conn, args=(conn,), name="space-conn", daemon=True
-            ).start()
-
-    def _serve_conn(self, conn: _Conn) -> None:
+    def _accept(self) -> None:
         try:
-            hello = wire.read_frame(conn.sock)
-            if hello.get("hello") != wire.PROTOCOL:
-                wire.send_frame(
-                    conn.sock,
-                    {
-                        "error": {
-                            "code": "PROTOCOL_MISMATCH",
-                            "message": f"server speaks {wire.PROTOCOL}",
-                        }
-                    },
-                )
-                self._drop(conn)
-                return
-            wire.send_frame(conn.sock, wire.hello_frame())
-        except Exception:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        conn = _Conn(sock)
+        self._conns.add(conn)
+        self._selector.register(sock, _READ, conn)
+
+    def _receive(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
             self._drop(conn)
             return
-
-        writer = threading.Thread(
-            target=self._write_loop, args=(conn,), name="space-writer", daemon=True
-        )
-        writer.start()
+        conn.inbuf += data
         try:
-            while not self._stopping.is_set():
-                msg = wire.read_frame(conn.sock)
-                threading.Thread(
-                    target=self._handle_request,
-                    args=(conn, msg),
-                    name="space-handler",
-                    daemon=True,
-                ).start()
-        except Exception:
-            pass
-        finally:
+            for msg in wire.split_frames(conn.inbuf):
+                if conn.greeted:
+                    self._handle_request(conn, msg)
+                elif not self._greet(conn, msg):
+                    return
+        except Exception:  # an oversized or malformed frame ends the connection
+            log.exception("dropping a connection after a bad frame")
             self._drop(conn)
 
-    def _write_loop(self, conn: _Conn) -> None:
-        while True:
-            msg = conn.outq.get()
-            if msg is None:
-                return
+    def _greet(self, conn: _Conn, hello: dict[str, Any]) -> bool:
+        if hello.get("hello") == wire.PROTOCOL:
+            conn.greeted = True
+            self._push(conn, wire.hello_frame())
+            return True
+        message = f"server speaks {wire.PROTOCOL}"
+        refusal = {"error": {"code": "PROTOCOL_MISMATCH", "message": message}}
+        with contextlib.suppress(OSError):
+            conn.sock.send(wire.encode_frame(refusal))
+        self._drop(conn)
+        return False
+
+    def _push(self, conn: _Conn, message: dict[str, Any]) -> None:
+        """Queue a message for a connection; safe from any thread."""
+        self._outbox.append((conn, message))
+        if threading.current_thread() is not self._thread:
+            self._wake()
+
+    def _flush(self) -> None:
+        ready: dict[_Conn, None] = {}
+        while self._outbox:
+            conn, message = self._outbox.popleft()
+            if conn not in self._conns:
+                continue
             try:
-                wire.send_frame(conn.sock, msg)
-            except Exception:
+                conn.out += wire.encode_frame(message)
+            except SpacefarmError:  # a frame too large to send
                 self._drop(conn)
-                return
+                continue
+            ready[conn] = None
+        for conn in ready:
+            self._send(conn)
+
+    def _send(self, conn: _Conn) -> None:
+        if conn not in self._conns:
+            return
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._drop(conn)
+            return
+        del conn.out[:sent]
+        events = _READ | _WRITE if conn.out else _READ
+        if events != conn.events:
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)
 
     def _drop(self, conn: _Conn) -> None:
-        with self._conns_lock:
-            if conn not in self._conns:
-                return
-            self._conns.discard(conn)
-        conn.cancel.set()
-        self.space.poke()  # wake parked lookups so they notice the cancel
+        if conn not in self._conns:
+            return
+        self._conns.discard(conn)
+        self.space.discard(conn)
         for sub_id in conn.subs:
             self.space.unsubscribe(sub_id)
-        conn.outq.put(None)
-        try:
-            conn.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
 
     # -- request dispatch --------------------------------------------------------------
 
@@ -192,63 +255,73 @@ class SpaceServer:
                 raise BadRequest("request needs req_id and op")
             op = msg["op"]
             params = msg.get("params") or {}
-            handler = self._OPS.get(op)
-            if handler is None:
-                raise UnknownOp(f"unknown op: {op}")
-            result = handler(self, conn, params)
-            if result is CANCELLED:
-                return  # connection gone; nothing to answer
-            conn.push(wire.ok_response(req_id, result))
+            if op in _LOOKUPS:
+                result = self._lookup(conn, req_id, params, _LOOKUPS[op])
+            else:
+                handler = self._OPS.get(op)
+                if handler is None:
+                    raise UnknownOp(f"unknown op: {op}")
+                result = handler(self, conn, params)
+            if result is not _PARKED:
+                self._push(conn, wire.ok_response(req_id, result))
         except SpacefarmError as exc:
-            conn.push(wire.error_response(req_id, error_code(exc), str(exc)))
+            self._push(conn, wire.error_response(req_id, error_code(exc), str(exc)))
         except (ValueError, KeyError, TypeError) as exc:
-            conn.push(wire.error_response(req_id, "BAD_REQUEST", str(exc)))
+            self._push(conn, wire.error_response(req_id, "BAD_REQUEST", str(exc)))
         except Exception as exc:  # pragma: no cover - defensive
             log.exception("handler failure for %s", msg.get("op"))
-            conn.push(wire.error_response(req_id, "INTERNAL", str(exc)))
+            self._push(conn, wire.error_response(req_id, "INTERNAL", str(exc)))
 
     # -- op implementations ---------------------------------------------------------------
 
     def _op_space_write(self, conn: _Conn, params: dict[str, Any]) -> Any:
         entry = entry_from_wire(params["entry"])
-        seq = self.space.write(
-            entry, txn=params.get("txn"), lease_ms=params.get("lease_ms")
-        )
-        return {"seq": seq}
+        txn, lease_ms = params.get("txn"), params.get("lease_ms")
+        return {"seq": self.space.write(entry, txn=txn, lease_ms=lease_ms)}
 
-    def _lookup(self, conn: _Conn, params: dict[str, Any], for_take: bool) -> Any:
+    def _lookup(
+        self, conn: _Conn, req_id: Any, params: dict[str, Any], for_take: bool
+    ) -> Any:
         template = Template.from_wire(params["template"])
         timeout_ms = params.get("timeout_ms", 0)
+        deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1e3
+
+        def answer(entry, error) -> None:
+            if error is not None:
+                response = wire.error_response(req_id, error_code(error), str(error))
+            else:
+                response = wire.ok_response(req_id, {"entry": entry_to_wire(entry)})
+            self._push(conn, response)
+
         fn = self.space.take if for_take else self.space.read
-        entry = fn(
+        result = fn(
             template,
             txn=params.get("txn"),
             timeout_ms=timeout_ms,
-            cancel=conn.cancel,
+            on_answer=answer,
+            owner=conn,
         )
-        if entry is CANCELLED:
-            return CANCELLED
-        return {"entry": None if entry is None else entry_to_wire(entry)}
-
-    def _op_space_read(self, conn: _Conn, params: dict[str, Any]) -> Any:
-        return self._lookup(conn, params, for_take=False)
-
-    def _op_space_take(self, conn: _Conn, params: dict[str, Any]) -> Any:
-        return self._lookup(conn, params, for_take=True)
+        if isinstance(result, Waiter):
+            if deadline is not None:
+                item = (deadline, id(result), result, conn, req_id)
+                heapq.heappush(self._deadlines, item)
+            return _PARKED
+        return {"entry": None if result is None else entry_to_wire(result)}
 
     def _op_space_subscribe(self, conn: _Conn, params: dict[str, Any]) -> Any:
         template = Template.from_wire(params["template"])
 
         def deliver(sub_id: str, seq: int, entry) -> None:
-            conn.push(wire.event(sub_id, {"seq": seq, "entry": entry_to_wire(entry)}))
+            self._push(
+                conn, wire.event(sub_id, {"seq": seq, "entry": entry_to_wire(entry)})
+            )
 
         sub_id = self.space.subscribe(template, deliver, txn=params.get("txn"))
         conn.subs.append(sub_id)
         return {"subscription_id": sub_id}
 
     def _op_txn_create(self, conn: _Conn, params: dict[str, Any]) -> Any:
-        txn_id = self.txns.create(int(params["lease_ms"]))
-        return {"txn_id": txn_id}
+        return {"txn_id": self.txns.create(int(params["lease_ms"]))}
 
     def _op_txn_renew(self, conn: _Conn, params: dict[str, Any]) -> Any:
         self.txns.renew(params["txn_id"], int(params["lease_ms"]))
@@ -264,11 +337,7 @@ class SpaceServer:
 
     def _op_txn_status(self, conn: _Conn, params: dict[str, Any]) -> Any:
         rec = self.txns.status(params["txn_id"])
-        return {
-            "txn_id": rec.txn_id,
-            "state": rec.state,
-            "lease_ms": rec.lease_ms,
-        }
+        return {"txn_id": rec.txn_id, "state": rec.state, "lease_ms": rec.lease_ms}
 
     def _op_admin_status(self, conn: _Conn, params: dict[str, Any]) -> Any:
         stats = self.space.stats()
@@ -304,8 +373,6 @@ class SpaceServer:
 
     _OPS = {
         "space.write": _op_space_write,
-        "space.read": _op_space_read,
-        "space.take": _op_space_take,
         "space.subscribe": _op_space_subscribe,
         "txn.create": _op_txn_create,
         "txn.renew": _op_txn_renew,

@@ -1,10 +1,18 @@
-"""In-memory shared object space: write/read/take, blocking lookups, leases,
+"""In-memory shared object space: write/read/take, parked lookups, leases,
 event subscriptions, and transactional visibility.
 
 All operations on one SpaceCore are serialized under a single lock, so every
 operation takes effect atomically at one point in a total order (the space's
-linearization order).  Blocking reads and takes park on the shared condition
-and re-evaluate after every visibility-changing operation.
+linearization order).
+
+A read or take that finds nothing and may wait becomes a waiter: its
+template, scope, kind and a callback, kept in registration order.  Whenever
+an entry becomes visible (a write, a commit's promotion, an abort's restore)
+it goes to the subscriptions and then to the waiters, oldest first: a read
+waiter is answered and the entry passes on, a take waiter consumes it.  When
+a transaction ends, its waiters are answered with TxnNotOpen.  The server
+parks a lookup this way and fires its deadline itself; an in-process caller
+blocks on an Event that the callback sets.
 
 Visibility of a stored entry is one of:
 
@@ -16,25 +24,21 @@ Visibility of a stored entry is one of:
 Taking an entry that the same transaction wrote removes it outright: the
 write was never globally visible, so there is nothing to restore or promote.
 
-Subscription callbacks run while the space lock is held; they must only
-enqueue, never block or re-enter the space.
+Subscription and waiter callbacks run while the space lock is held; they
+must only enqueue, never block or re-enter the space.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .entries import Entry, Template, entry_to_wire, new_entry_id
 from .errors import TxnNotOpen
 
 FOREVER = None
-
-# Sentinel returned by blocking ops interrupted through a cancel event
-# (client disconnected); distinct from a timeout miss.
-CANCELLED = object()
 
 _GLOBAL = "global"
 _WRITTEN = "written"
@@ -58,6 +62,21 @@ class Subscription:
     callback: Callable[[str, int, Entry], None]
 
 
+# A waiter's callback: (entry, None), or (None, TxnNotOpen) if its txn ended.
+Answer = Callable[[Entry | None, Exception | None], None]
+
+
+@dataclass(eq=False)
+class Waiter:
+    """A parked read or take; its callback runs once, under the space lock."""
+
+    template: Template
+    scope: str | None
+    for_take: bool
+    callback: Answer | None
+    owner: Any = None
+
+
 class SpaceCore:
     """The space state machine.  Thread-safe; shareable with a TxnManager
     through a common lock so transaction checks and applies are atomic with
@@ -71,28 +90,19 @@ class SpaceCore:
         record_history: bool = False,
     ) -> None:
         self._lock = lock if lock is not None else threading.RLock()
-        self._cond = threading.Condition(self._lock)
         self._clock = clock
         self._txn_checker = txn_checker
         self._entries: dict[int, StoredEntry] = {}  # insertion == seq order
         self._seq = 0
         self._subs: dict[str, Subscription] = {}
+        self._waiters: dict[Waiter, bool] = {}  # registration order
         self._order = 0
         self.history: list[dict[str, Any]] | None = [] if record_history else None
 
     # -- configuration hooks -------------------------------------------------
 
-    @property
-    def lock(self) -> threading.RLock:
-        return self._lock
-
     def set_txn_checker(self, checker: Callable[[str], bool]) -> None:
         self._txn_checker = checker
-
-    def poke(self) -> None:
-        """Wake every parked read/take so it can notice a cancel event."""
-        with self._cond:
-            self._cond.notify_all()
 
     # -- internal helpers (lock held) ----------------------------------------
 
@@ -119,38 +129,54 @@ class SpaceCore:
             del self._entries[seq]
             self._record({"op": "purge", "seq": seq})
 
-    def _visible_for_read(self, st: StoredEntry, scope: str | None) -> bool:
-        if st.vis == _GLOBAL:
-            return True
-        return scope is not None and st.txn == scope
+    def _wants(self, lookup: Waiter, st: StoredEntry) -> bool:
+        if st.vis != _GLOBAL:
+            if lookup.scope is None or st.txn != lookup.scope:
+                return False
+            # A transaction may consume its own uncommitted write, but an
+            # entry it already holds taken cannot be taken twice.
+            if lookup.for_take and st.vis == _TAKEN:
+                return False
+        return lookup.template.matches(st.entry)
 
-    def _eligible_for_take(self, st: StoredEntry, scope: str | None) -> bool:
-        if st.vis == _GLOBAL:
-            return True
-        # A transaction may consume its own uncommitted write, but an entry
-        # it already holds taken cannot be taken twice.
-        return st.vis == _WRITTEN and scope is not None and st.txn == scope
-
-    def _select(
-        self, template: Template, scope: str | None, for_take: bool
-    ) -> StoredEntry | None:
+    def _select(self, lookup: Waiter) -> StoredEntry | None:
         for st in self._entries.values():  # ascending seq: oldest-first
-            if for_take:
-                if not self._eligible_for_take(st, scope):
-                    continue
-            elif not self._visible_for_read(st, scope):
-                continue
-            if template.matches(st.entry):
+            if self._wants(lookup, st):
                 return st
         return None
 
     def _fire(self, st: StoredEntry, scope: str | None) -> None:
-        """Deliver an entry that just became visible to `scope` (None=global)."""
+        """Deliver an entry that just became visible to `scope` (None=global)
+        to the subscriptions, then offer it to the waiters."""
         for sub in self._subs.values():
             if scope is not None and sub.scope != scope:
                 continue
             if sub.template.matches(st.entry):
                 sub.callback(sub.sub_id, st.seq, st.entry)
+        self._offer(st)
+
+    def _offer(self, st: StoredEntry) -> None:
+        """Answer the waiters that can see the entry, oldest first, until one
+        consumes it.  A take under a transaction leaves it visible to reads
+        inside that transaction, so the offer goes on after such a take."""
+        for waiter in list(self._waiters):
+            if st.seq not in self._entries:
+                return
+            if self._wants(waiter, st):
+                del self._waiters[waiter]
+                waiter.callback(self._hand_over(st, waiter), None)
+
+    def _hand_over(self, st: StoredEntry, lookup: Waiter) -> Entry:
+        if lookup.for_take:
+            self._apply_take(st, lookup.scope)
+        self._record_lookup(lookup, st.seq)
+        return st.entry
+
+    def _record_lookup(self, lookup: Waiter, seq: int | None) -> None:
+        if self.history is not None:
+            op = "take" if lookup.for_take else "read"
+            row = {"op": op, "txn": lookup.scope, "template": lookup.template.to_wire()}
+            self._record({**row, "seq": seq})
 
     # -- operations -----------------------------------------------------------
 
@@ -165,31 +191,20 @@ class SpaceCore:
         With a transaction the entry stays scoped to it until commit; without
         one it is globally visible immediately.
         """
-        with self._cond:
+        with self._lock:
             self._check_txn(txn)
             self._purge_expired()
             self._seq += 1
             deadline = (
                 FOREVER if lease_ms is None else self._clock() + lease_ms / 1000.0
             )
-            st = StoredEntry(
-                entry=entry,
-                seq=self._seq,
-                lease_deadline=deadline,
-                vis=_GLOBAL if txn is None else _WRITTEN,
-                txn=txn,
-            )
+            vis = _GLOBAL if txn is None else _WRITTEN
+            st = StoredEntry(entry, self._seq, deadline, vis, txn)
             self._entries[st.seq] = st
-            self._record(
-                {
-                    "op": "write",
-                    "seq": st.seq,
-                    "txn": txn,
-                    "entry": entry_to_wire(entry),
-                }
-            )
+            if self.history is not None:
+                row = {"op": "write", "seq": st.seq, "txn": txn}
+                self._record({**row, "entry": entry_to_wire(entry)})
             self._fire(st, scope=txn)
-            self._cond.notify_all()
             return st.seq
 
     def read(
@@ -197,69 +212,73 @@ class SpaceCore:
         template: Template,
         txn: str | None = None,
         timeout_ms: int | None = 0,
-        cancel: threading.Event | None = None,
-    ) -> Entry | None:
-        return self._lookup(template, txn, timeout_ms, cancel, for_take=False)
+        on_answer: Answer | None = None,
+        owner: Any = None,
+    ) -> Entry | Waiter | None:
+        return self._lookup(Waiter(template, txn, False, on_answer, owner), timeout_ms)
 
     def take(
         self,
         template: Template,
         txn: str | None = None,
         timeout_ms: int | None = 0,
-        cancel: threading.Event | None = None,
-    ) -> Entry | None:
-        return self._lookup(template, txn, timeout_ms, cancel, for_take=True)
+        on_answer: Answer | None = None,
+        owner: Any = None,
+    ) -> Entry | Waiter | None:
+        return self._lookup(Waiter(template, txn, True, on_answer, owner), timeout_ms)
 
-    def _lookup(
-        self,
-        template: Template,
-        txn: str | None,
-        timeout_ms: int | None,
-        cancel: threading.Event | None,
-        for_take: bool,
-    ) -> Entry | None:
-        op = "take" if for_take else "read"
-        deadline = (
-            None if timeout_ms is None else self._clock() + timeout_ms / 1000.0
-        )
-        with self._cond:
-            while True:
-                self._check_txn(txn)
-                self._purge_expired()
-                st = self._select(template, txn, for_take)
-                if st is not None:
-                    if for_take:
-                        self._apply_take(st, txn)
-                    self._record(
-                        {
-                            "op": op,
-                            "txn": txn,
-                            "template": template.to_wire(),
-                            "seq": st.seq,
-                        }
-                    )
-                    if for_take:
-                        self._cond.notify_all()
-                    return st.entry
-                if cancel is not None and cancel.is_set():
-                    return CANCELLED  # type: ignore[return-value]
-                remaining = None if deadline is None else deadline - self._clock()
-                if remaining is not None and remaining <= 0:
-                    self._record(
-                        {
-                            "op": op,
-                            "txn": txn,
-                            "template": template.to_wire(),
-                            "seq": None,
-                        }
-                    )
-                    return None
-                # Bounded wait so cancel events are noticed promptly even if
-                # nobody pokes the condition.
-                wait_for = 0.25 if cancel is not None else remaining
-                if remaining is not None and (wait_for is None or remaining < wait_for):
-                    wait_for = remaining
-                self._cond.wait(wait_for)
+    def _lookup(self, lookup: Waiter, timeout_ms: int | None) -> Entry | Waiter | None:
+        """Answer at once, or park the lookup as a waiter.  With `on_answer`
+        the Waiter is returned and the caller fires its deadline (`expire`);
+        without it the caller blocks here for at most `timeout_ms`."""
+        with self._lock:
+            self._check_txn(lookup.scope)
+            self._purge_expired()
+            st = self._select(lookup)
+            if st is not None:
+                entry = self._hand_over(st, lookup)
+                if lookup.for_take and st.seq in self._entries:
+                    self._offer(st)
+                return entry
+            if timeout_ms == 0:
+                self._record_lookup(lookup, None)
+                return None
+            self._waiters[lookup] = True
+            if lookup.callback is not None:
+                return lookup
+            answered: list[tuple[Entry | None, Exception | None]] = []
+            done = threading.Event()
+
+            def answer(entry: Entry | None, error: Exception | None) -> None:
+                answered.append((entry, error))
+                done.set()
+
+            lookup.callback = answer
+        done.wait(None if timeout_ms is None else timeout_ms / 1000.0)
+        with self._lock:
+            if not answered:
+                self.expire(lookup)
+                return None
+        entry, error = answered[0]
+        if error is not None:
+            raise error
+        return entry
+
+    def expire(self, waiter: Waiter) -> bool:
+        """End a parked lookup whose timeout passed, as a miss.  False if it
+        was answered first."""
+        with self._lock:
+            if not self._waiters.pop(waiter, False):
+                return False
+            self._record_lookup(waiter, None)
+            return True
+
+    def discard(self, owner: Any) -> None:
+        """Drop the owner's parked lookups (its client went away); they
+        consume nothing and leave no record."""
+        with self._lock:
+            for waiter in [w for w in self._waiters if w.owner is owner]:
+                del self._waiters[waiter]
 
     def _apply_take(self, st: StoredEntry, txn: str | None) -> None:
         if txn is None:
@@ -282,79 +301,54 @@ class SpaceCore:
         Delivery is at-least-once in space order; the callback runs under the
         space lock and must only enqueue.
         """
-        with self._cond:
+        with self._lock:
             sub_id = new_entry_id()
             self._subs[sub_id] = Subscription(sub_id, template, txn, callback)
             return sub_id
 
     def unsubscribe(self, sub_id: str) -> None:
-        with self._cond:
+        with self._lock:
             self._subs.pop(sub_id, None)
 
     # -- transaction participant interface ------------------------------------
 
     def commit_apply(self, txn: str) -> None:
         """Promote the transaction's writes, discard its takes."""
-        with self._cond:
-            promoted: list[StoredEntry] = []
-            deleted: list[int] = []
-            for seq in list(self._entries):
-                st = self._entries[seq]
-                if st.txn != txn:
-                    continue
-                if st.vis == _WRITTEN:
-                    st.vis = _GLOBAL
-                    st.txn = None
-                    promoted.append(st)
-                elif st.vis == _TAKEN:
-                    del self._entries[seq]
-                    deleted.append(seq)
-            self._record(
-                {
-                    "op": "commit",
-                    "txn": txn,
-                    "promoted": [st.seq for st in promoted],
-                    "deleted": deleted,
-                }
-            )
-            for st in promoted:
-                self._fire(st, scope=None)
-            self._cond.notify_all()
+        self._end_txn(txn, "commit", "promoted", keep=_WRITTEN)
 
     def abort_apply(self, txn: str) -> None:
         """Void the transaction's writes, restore its takes."""
-        with self._cond:
-            restored: list[StoredEntry] = []
+        self._end_txn(txn, "abort", "restored", keep=_TAKEN)
+
+    def _end_txn(self, txn: str, op: str, kept_key: str, keep: str) -> None:
+        """Make the transaction's `keep` entries global, delete the rest of
+        its entries, and answer its waiters with TxnNotOpen."""
+        with self._lock:
+            for waiter in [w for w in self._waiters if w.scope == txn]:
+                del self._waiters[waiter]
+                waiter.callback(None, TxnNotOpen(f"transaction not open: {txn}"))
+            survivors: list[StoredEntry] = []
             deleted: list[int] = []
-            for seq in list(self._entries):
-                st = self._entries[seq]
+            for seq, st in list(self._entries.items()):
                 if st.txn != txn:
                     continue
-                if st.vis == _WRITTEN:
+                if st.vis == keep:
+                    st.vis, st.txn = _GLOBAL, None
+                    survivors.append(st)
+                else:
                     del self._entries[seq]
                     deleted.append(seq)
-                elif st.vis == _TAKEN:
-                    st.vis = _GLOBAL
-                    st.txn = None
-                    restored.append(st)
-            self._record(
-                {
-                    "op": "abort",
-                    "txn": txn,
-                    "restored": [st.seq for st in restored],
-                    "deleted": deleted,
-                }
-            )
-            for st in restored:
+            kept = [st.seq for st in survivors]
+            self._record({"op": op, "txn": txn, kept_key: kept, "deleted": deleted})
+            for st in survivors:
                 self._fire(st, scope=None)
-            self._cond.notify_all()
 
     # -- introspection ---------------------------------------------------------
 
     def count(self, template: Template) -> tuple[int, int]:
         """Matching entries as (globally visible, held taken by an open
         transaction)."""
-        with self._cond:
+        with self._lock:
             self._purge_expired()
             visible = held = 0
             for st in self._entries.values():
@@ -365,29 +359,23 @@ class SpaceCore:
 
     def visible_entries(self, template: Template | None = None) -> list[Entry]:
         """Globally visible entries, oldest first."""
-        with self._cond:
+        with self._lock:
             self._purge_expired()
-            return [
-                st.entry
-                for st in self._entries.values()
-                if st.vis == _GLOBAL
-                and (template is None or template.matches(st.entry))
-            ]
+            visible = [st.entry for st in self._entries.values() if st.vis == _GLOBAL]
+            return [e for e in visible if template is None or template.matches(e)]
 
     def snapshot(self) -> list[tuple[int, str, str | None, Entry]]:
         """Full internal state (seq, visibility, txn, entry) for tests."""
-        with self._cond:
-            return [
-                (st.seq, st.vis, st.txn, st.entry)
-                for st in self._entries.values()
-            ]
+        with self._lock:
+            return [(s.seq, s.vis, s.txn, s.entry) for s in self._entries.values()]
 
     def stats(self) -> dict[str, int]:
-        with self._cond:
+        with self._lock:
             self._purge_expired()
             visible = sum(1 for st in self._entries.values() if st.vis == _GLOBAL)
             return {
                 "entries": visible,
                 "stored": len(self._entries),
                 "subscriptions": len(self._subs),
+                "waiters": len(self._waiters),
             }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .entries import new_entry_id
@@ -27,7 +27,6 @@ COMMITTED = "COMMITTED"
 ABORTED = "ABORTED"
 
 MIN_LEASE_MS = 100
-DEFAULT_TASK_LEASE_MS = 30_000
 
 
 @dataclass
@@ -103,12 +102,7 @@ class TxnManager:
             rec = self._records.get(txn_id)
             if rec is None:
                 raise UnknownTxn(f"unknown transaction: {txn_id}")
-            return TxnRecord(
-                txn_id=rec.txn_id,
-                state=rec.state,
-                lease_ms=rec.lease_ms,
-                deadline=rec.deadline,
-            )
+            return replace(rec)
 
     def is_open(self, txn_id: str) -> bool:
         with self._lock:
@@ -141,19 +135,3 @@ class TxnManager:
                 self._finish_abort(rec)
             return [rec.txn_id for rec in live]
 
-
-class SweepLoop(threading.Thread):
-    """Periodic expiry scan; the server runs one per manager."""
-
-    def __init__(self, manager: TxnManager, period_ms: int = 100) -> None:
-        super().__init__(name="txn-sweeper", daemon=True)
-        self._manager = manager
-        self._period = period_ms / 1000.0
-        self._stop = threading.Event()
-
-    def run(self) -> None:
-        while not self._stop.wait(self._period):
-            self._manager.sweep()
-
-    def stop(self) -> None:
-        self._stop.set()

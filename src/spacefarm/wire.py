@@ -42,6 +42,24 @@ def decode_frame(data: bytes) -> dict[str, Any]:
     return json.loads(data[4:].decode("utf-8"))
 
 
+def split_frames(buf: bytearray) -> list[dict[str, Any]]:
+    """Remove every complete frame from the front of `buf` and decode it; a
+    partial frame stays for the next read."""
+    frames = []
+    start = 0
+    while len(buf) - start >= 4:
+        (length,) = _LEN.unpack_from(buf, start)
+        if length > MAX_FRAME:
+            raise FrameTooLarge(f"frame length {length} exceeds {MAX_FRAME}")
+        end = start + 4 + length
+        if len(buf) < end:
+            break
+        frames.append(json.loads(buf[start + 4 : end].decode("utf-8")))
+        start = end
+    del buf[:start]
+    return frames
+
+
 def recv_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
     while n > 0:

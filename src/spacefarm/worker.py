@@ -174,8 +174,8 @@ class Worker:
             self._handle.close()
 
     def _reset_scratch(self) -> None:
-        # Scratch files orphaned by a crash of the previous run under this
-        # worker id are swept here.
+        # The worker writes nothing here; the reset only sweeps what an
+        # earlier run under this worker id left behind.
         mine = self.scratch_root / self.worker_id
         shutil.rmtree(mine, ignore_errors=True)
         mine.mkdir(parents=True, exist_ok=True)
@@ -265,8 +265,6 @@ class Worker:
                 worker_id=self.worker_id, part_index=task.part_index,
             )
             data = decode_payload(file_entry.payload)
-            scratch_file = self._scratch_path(task)
-            scratch_file.write_bytes(data)
             self._emit("file-read", task, txn)
             params = dict(config.agent_params)
             params[CASE_ID_PARAM] = task.case_id
@@ -306,7 +304,6 @@ class Worker:
                 session.txn_commit(txn)
             except (TxnNotOpen, UnknownTxn):
                 return self._abandon(session, task, txn, "lease-lost")
-            scratch_file.unlink(missing_ok=True)
             self._emit("commit", task, txn)
         finally:
             stop_hb.set()
@@ -320,11 +317,6 @@ class Worker:
             txn=txn,
             **fields,
         )
-
-    def _scratch_path(self, task: TaskEntry) -> Path:
-        directory = self.scratch_root / self.worker_id / task.case_id
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory / f"part-{task.part_index}.bin"
 
     def _agent_for(self, config: ConfigurationEntry) -> AgentDescriptor:
         cached = self._agent_cache.get(config.case_id)

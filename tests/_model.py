@@ -95,13 +95,18 @@ def replay(history: list[dict]) -> dict:
 
 
 def run_stress(
-    num_threads: int = 8, ops_per_thread: int = 150, seed: int = 1234
+    num_threads: int = 8, ops_per_thread: int = 150, seed: int = 1234, wait_ms: int = 0
 ) -> list[dict]:
-    """Concurrent mixed workload on one space; returns the recorded history."""
+    """Concurrent mixed workload on one space; returns the recorded history.
+
+    With `wait_ms` every lookup may park for up to that long, so other
+    threads' writes, commits and aborts answer it.
+    """
     lock = threading.RLock()
     core = SpaceCore(lock=lock, record_history=True)
     txns = TxnManager(core, lock=lock)
     core.set_txn_checker(txns.is_open)
+    found: list[object] = []  # every entry a lookup returned
 
     def actor(tid: int) -> None:
         rng = random.Random(seed + tid)
@@ -114,10 +119,9 @@ def run_stress(
                 if roll < 0.35:
                     txn = open_txn if rng.random() < 0.5 else None
                     core.write(StopEntry(case_id=case), txn=txn)
-                elif roll < 0.55:
-                    core.read(template, txn=open_txn, timeout_ms=0)
                 elif roll < 0.80:
-                    core.take(template, txn=open_txn, timeout_ms=0)
+                    lookup = core.read if roll < 0.55 else core.take
+                    found.append(lookup(template, txn=open_txn, timeout_ms=wait_ms))
                 elif open_txn is None:
                     open_txn = txns.create(60_000)
                 else:
@@ -137,4 +141,8 @@ def run_stress(
         thread.start()
     for thread in threads:
         thread.join()
+    hits = [r for r in core.history if r["op"] in ("read", "take") and r["seq"]]
+    returned = [entry for entry in found if entry is not None]
+    if len(hits) != len(returned):
+        raise ModelMismatch(f"{len(returned)} lookups got an entry, {len(hits)} recorded")
     return core.history

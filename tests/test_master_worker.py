@@ -117,6 +117,27 @@ def test_abort_before_result_write_is_neutral(tmp_path, address):
         assert fh.read() == payload
 
 
+def test_aborted_attempt_leaves_no_scratch_file(tmp_path, address):
+    # Worker 0 aborts after worker 1 has finished its own part and is waiting
+    # again, so the replay runs on worker 1 and worker 0 never retries.
+    payload = bytes(range(40))
+    config = make_case_config(
+        tmp_path, address, input_bytes=payload, num_parts=2,
+        agent_params={"delay_ms": 100},
+    )
+    injectors = {
+        0: FaultInjector([
+            _Fault(phase="after-claim", action="pause", pause_ms=300),
+            _Fault(phase="before-result-write", action="abort-txn"),
+        ])
+    }
+    report = run_case_with_workers(config, 2, tmp_path, injectors=injectors)
+    assert report.replays == 1
+    with open(config.output_path, "rb") as fh:
+        assert fh.read() == payload
+    assert [p for p in tmp_path.glob("scratch-*/**/*") if p.is_file()] == []
+
+
 def test_failing_agent_exhausts_attempts(tmp_path, address, session):
     def broken(data, params, space):
         raise RuntimeError("synthetic agent failure")
@@ -180,6 +201,16 @@ def test_idle_workers_keep_one_claim_transaction(server, address, tmp_path):
         time.sleep(3.5 * CLAIM_WAIT_MS / 1000.0)
         grown = len(server.txns._records) - before
     assert grown <= 2
+
+
+def test_clean_cases_leave_no_entries(server, address, tmp_path):
+    with running_workers(address, 2, tmp_path):
+        for index in range(5):
+            config = make_case_config(
+                tmp_path, address, input_bytes=bytes(range(32)), case_id=f"clean-{index}"
+            )
+            assert Master(config).run().results == 4
+    assert server.space.stats()["stored"] == 0
 
 
 def test_exactly_once_commits_in_execution_log(tmp_path, address):

@@ -126,6 +126,83 @@ def test_disconnect_during_blocked_take_consumes_nothing(server, address):
         other.close()
 
 
+@pytest.mark.parametrize("ending", ["abort", "expiry"])
+def test_parked_take_ends_with_its_transaction(address, session, ending):
+    holder = Session.connect(address)
+    template = Template("StopEntry", {"case_id": f"ended-by-{ending}"})
+    outcome: queue.Queue = queue.Queue()
+
+    def parked():
+        try:
+            outcome.put(holder.take(template, txn=txn, timeout_ms=10_000))
+        except TxnNotOpen as exc:
+            outcome.put(exc)
+
+    try:
+        txn = holder.txn_create(60_000 if ending == "abort" else 300)
+        thread = threading.Thread(target=parked, daemon=True)
+        thread.start()
+        time.sleep(0.2)  # let the take park on the server
+        started = time.monotonic()
+        if ending == "abort":
+            session.txn_abort(txn)  # from another session
+        assert isinstance(outcome.get(timeout=5), TxnNotOpen)
+        assert time.monotonic() - started < 1.0
+        session.write(StopEntry(case_id=f"ended-by-{ending}"))
+        time.sleep(0.1)  # a leaked parked take would consume it here
+        assert session.read(template) is not None
+    finally:
+        holder.close()
+
+
+def test_one_server_thread_and_a_clean_shutdown():
+    def server_threads():
+        names = ("space-", "txn-")
+        return [
+            t for t in threading.enumerate()
+            if t.name.startswith(names) and t not in before and t.is_alive()
+        ]
+
+    before = set(threading.enumerate())
+    server = SpaceServer(host="127.0.0.1", port=0, txn_sweep_ms=25)
+    server.start()
+    host, port = server.address
+    address = f"{host}:{port}"
+    sessions = [Session.connect(address) for _ in range(4)]
+    outcomes: queue.Queue = queue.Queue()
+
+    def parked(sess, index):
+        try:
+            sess.take(Template("StopEntry", {"case_id": f"never-{index}"}), timeout_ms=60_000)
+            outcomes.put("answered")
+        except SessionClosed:
+            outcomes.put("closed")
+
+    takers = [
+        threading.Thread(target=parked, args=(sess, i), daemon=True)
+        for i, sess in enumerate(sessions)
+    ]
+    try:
+        for taker in takers:
+            taker.start()
+        time.sleep(0.3)  # let every take park on the server
+        for i in range(50):
+            for sess in sessions:  # 4 x 50 = 200 requests while the takes park
+                sess.read(Template("StopEntry", {"case_id": f"plain-{i}"}))
+        assert len(server_threads()) <= 1
+    finally:
+        server.shutdown(drain_ms=0)
+    assert server_threads() == []
+    with pytest.raises(ConnectionFailed):
+        Session.connect(address, timeout_s=1.0)
+    for taker in takers:
+        taker.join(timeout=5)
+    assert [outcomes.get_nowait() for _ in takers] == ["closed"] * 4
+    assert server.space.stats()["waiters"] == 0
+    for sess in sessions:
+        sess.close()
+
+
 def test_subscription_events_arrive(session):
     inbox: queue.Queue = queue.Queue()
     session.subscribe(

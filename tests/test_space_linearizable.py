@@ -1,5 +1,6 @@
 """Replay recorded space histories against the sequential reference model."""
 
+import sys
 import threading
 
 import pytest
@@ -68,3 +69,18 @@ def test_stress_is_seed_stable_per_thread():
     # Different interleavings must still replay; run twice with another seed.
     for seed in (7, 99):
         _model.replay(_model.run_stress(num_threads=4, ops_per_thread=80, seed=seed))
+
+
+def test_parked_lookups_replay_clean():
+    # Lookups park as waiters and are answered by other threads' writes,
+    # commits and aborts, or time out; a short switch interval makes those
+    # threads interleave often.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        history = _model.run_stress(
+            num_threads=8, ops_per_thread=150, seed=5, wait_ms=15
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    _model.replay(history)
