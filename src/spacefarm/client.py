@@ -272,7 +272,6 @@ class WireSpaceHandle:
                 self._session = None
 
 
-
 class LocalSpaceHandle:
     """In-process equivalent of WireSpaceHandle for embedded/test use."""
 

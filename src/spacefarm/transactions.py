@@ -134,4 +134,3 @@ class TxnManager:
             for rec in live:
                 self._finish_abort(rec)
             return [rec.txn_id for rec in live]
-
