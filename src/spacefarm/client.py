@@ -3,6 +3,12 @@
 A Session is safe to share between threads: calls are matched to responses by
 req_id, and subscription events are delivered on a dedicated dispatcher thread
 (callbacks must not issue blocking calls on the same session).
+
+`Session.batch` pipelines: it sends several requests in one write and then
+waits for each answer in order, so a batch costs one round trip.  The server
+runs one connection's requests in arrival order, so each op sees the effects
+of the ops before it, and each gets its own result or its own error.  `call`
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import logging
 import queue
 import socket
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import wire
 from .entries import Entry, Template, entry_from_wire, entry_to_wire
@@ -21,6 +27,7 @@ from .errors import (
     ConnectionFailed,
     ProtocolMismatch,
     SessionClosed,
+    SpacefarmError,
     from_code,
 )
 from .transactions import TxnRecord
@@ -33,6 +40,65 @@ def parse_address(address: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise ValueError(f"address must be host:port, got {address!r}")
     return host, int(port)
+
+
+def _entry_or_none(result: dict[str, Any]) -> Entry | None:
+    raw = result.get("entry")
+    return None if raw is None else entry_from_wire(raw)
+
+
+def unwrap(answers: list[Any]) -> list[Any]:
+    """A batch's answers, raising the first error among them."""
+    for answer in answers:
+        if isinstance(answer, SpacefarmError):
+            raise answer
+    return answers
+
+
+class Request(NamedTuple):
+    """One op of a batch, with how its result is decoded."""
+
+    op: str
+    params: dict[str, Any]
+    decode: Callable[[dict[str, Any]], Any]
+
+
+def write_request(
+    entry: Entry, txn: str | None = None, lease_ms: int | None = None
+) -> Request:
+    params: dict[str, Any] = {"entry": entry_to_wire(entry)}
+    if txn is not None:
+        params["txn"] = txn
+    if lease_ms is not None:
+        params["lease_ms"] = lease_ms
+    return Request("space.write", params, lambda result: result["seq"])
+
+
+def read_request(
+    template: Template, txn: str | None = None, timeout_ms: int | None = 0
+) -> Request:
+    params = {"template": template.to_wire(), "txn": txn, "timeout_ms": timeout_ms}
+    return Request("space.read", params, _entry_or_none)
+
+
+def take_request(
+    template: Template, txn: str | None = None, timeout_ms: int | None = 0
+) -> Request:
+    params = {"template": template.to_wire(), "txn": txn, "timeout_ms": timeout_ms}
+    return Request("space.take", params, _entry_or_none)
+
+
+def create_request(lease_ms: int) -> Request:
+    return Request("txn.create", {"lease_ms": lease_ms}, lambda result: result["txn_id"])
+
+
+def renew_request(txn_id: str, lease_ms: int) -> Request:
+    params = {"txn_id": txn_id, "lease_ms": lease_ms}
+    return Request("txn.renew", params, lambda result: None)
+
+
+def commit_request(txn_id: str) -> Request:
+    return Request("txn.commit", {"txn_id": txn_id}, lambda result: None)
 
 
 class _Pending:
@@ -112,28 +178,62 @@ class Session:
     # -- core call ---------------------------------------------------------------
 
     def call(self, op: str, params: dict[str, Any] | None = None) -> dict[str, Any]:
+        (answer,) = self._exchange([(op, params)])
+        if isinstance(answer, SpacefarmError):
+            raise answer
+        return answer
+
+    def batch(self, requests: list[Request]) -> list[Any]:
+        """Send the requests in one write and wait for every answer, in order.
+
+        Each slot holds its request's decoded result or its own
+        SpacefarmError; a failed op does not stop the ops after it, because
+        the server runs them all in arrival order.
+        """
+        answers = self._exchange([(r.op, r.params) for r in requests])
+        return [
+            answer if isinstance(answer, SpacefarmError) else request.decode(answer)
+            for request, answer in zip(requests, answers)
+        ]
+
+    def _exchange(
+        self, ops: list[tuple[str, dict[str, Any] | None]]
+    ) -> list[dict[str, Any] | SpacefarmError]:
         if self._closed.is_set():
             raise SessionClosed(f"session to {self._peer} is closed")
-        req_id = next(self._req_ids)
-        pending = _Pending()
+        # Every frame is encoded before any is registered or sent, so a frame
+        # too large to send leaves nothing behind and never sends the ops
+        # around it, such as a commit without its write.
+        waits: dict[int, _Pending] = {}
+        frames = []
+        for op, params in ops:
+            req_id = next(self._req_ids)
+            frames.append(wire.encode_frame(wire.request(req_id, op, params or {})))
+            waits[req_id] = _Pending()
         with self._pending_lock:
-            self._pending[req_id] = pending
+            self._pending.update(waits)
         try:
             with self._send_lock:
-                wire.send_frame(self._sock, wire.request(req_id, op, params or {}))
+                self._sock.sendall(b"".join(frames))
         except OSError as exc:
             with self._pending_lock:
-                self._pending.pop(req_id, None)
+                for req_id in waits:
+                    self._pending.pop(req_id, None)
             self.close()
             raise SessionClosed(f"send failed: {exc}") from exc
-        pending.event.wait()
-        if pending.response is None:
-            raise SessionClosed(f"session to {self._peer} closed mid-call")
-        resp = pending.response
-        if resp.get("ok"):
-            return resp.get("result") or {}
-        err = resp.get("error") or {}
-        raise from_code(err.get("code", "INTERNAL"), err.get("message", ""))
+        answers: list[dict[str, Any] | SpacefarmError] = []
+        for pending in waits.values():
+            pending.event.wait()
+            resp = pending.response
+            if resp is None:
+                raise SessionClosed(f"session to {self._peer} closed mid-call")
+            if resp.get("ok"):
+                answers.append(resp.get("result") or {})
+            else:
+                err = resp.get("error") or {}
+                code, message = err.get("code", "INTERNAL"), err.get("message", "")
+                answers.append(from_code(code, message))
+        return answers
 
     # -- background loops -----------------------------------------------------------
 
@@ -180,32 +280,23 @@ class Session:
 
     # -- typed helpers ------------------------------------------------------------------
 
+    def _one(self, request: Request) -> Any:
+        return request.decode(self.call(request.op, request.params))
+
     def write(
         self, entry: Entry, txn: str | None = None, lease_ms: int | None = None
     ) -> int:
-        params: dict[str, Any] = {"entry": entry_to_wire(entry)}
-        if txn is not None:
-            params["txn"] = txn
-        if lease_ms is not None:
-            params["lease_ms"] = lease_ms
-        return self.call("space.write", params)["seq"]
+        return self._one(write_request(entry, txn, lease_ms))
 
     def read(
         self, template: Template, txn: str | None = None, timeout_ms: int | None = 0
     ) -> Entry | None:
-        return self._lookup("space.read", template, txn, timeout_ms)
+        return self._one(read_request(template, txn, timeout_ms))
 
     def take(
         self, template: Template, txn: str | None = None, timeout_ms: int | None = 0
     ) -> Entry | None:
-        return self._lookup("space.take", template, txn, timeout_ms)
-
-    def _lookup(
-        self, op: str, template: Template, txn: str | None, timeout_ms: int | None
-    ) -> Entry | None:
-        params = {"template": template.to_wire(), "txn": txn, "timeout_ms": timeout_ms}
-        raw = self.call(op, params).get("entry")
-        return None if raw is None else entry_from_wire(raw)
+        return self._one(take_request(template, txn, timeout_ms))
 
     def subscribe(
         self,
@@ -224,13 +315,13 @@ class Session:
         return sub_id
 
     def txn_create(self, lease_ms: int) -> str:
-        return self.call("txn.create", {"lease_ms": lease_ms})["txn_id"]
+        return self._one(create_request(lease_ms))
 
     def txn_renew(self, txn_id: str, lease_ms: int) -> None:
-        self.call("txn.renew", {"txn_id": txn_id, "lease_ms": lease_ms})
+        self._one(renew_request(txn_id, lease_ms))
 
     def txn_commit(self, txn_id: str) -> None:
-        self.call("txn.commit", {"txn_id": txn_id})
+        self._one(commit_request(txn_id))
 
     def txn_abort(self, txn_id: str) -> None:
         self.call("txn.abort", {"txn_id": txn_id})

@@ -10,12 +10,17 @@ part is committed exactly once. A crash, a lease expiry or an explicit abort
 restores the task and the file with their original sequence numbers; that
 restore is the replay, and the master has nothing to re-feed.
 
-The master cuts the input and feeds every part. It then takes each
-ResultEntry of the case as a commit publishes it, keeping the result in
-memory, and follows a subscription to the case's TaskEntry. The first
-TaskEntry event for a part is the master's own feed; every later one is a
-restore, so it counts as one replay and one failed attempt toward
+The master cuts the input and feeds every part in one pipelined batch: all
+FileEntry and TaskEntry writes go out in one send and cost one round trip.
+It then takes each ResultEntry of the case as a commit publishes it, keeping
+the result in memory, and follows a subscription to the case's TaskEntry.
+The first TaskEntry event for a part is the master's own feed; every later
+one is a restore, so it counts as one replay and one failed attempt toward
 max_attempts. The case's own StopEntry event closes that count.
+
+A case ends, finished or failed, with its StopEntry. Workers cache each
+case's configuration and drop it on that event, so a task of a failed case
+claimed afterwards finds no configuration and is dropped.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import AgentDescriptor, resolve
-from .client import Session
+from .client import Session, unwrap, write_request
 from .cuts import STRATEGIES, cut
 from .entries import (
     ConfigurationEntry,
@@ -228,8 +233,7 @@ class Master:
             self._inbox = stack.enter_context(contextlib.closing(self._connect()))
             self._announce_case()
             try:
-                for index, blob in enumerate(parts):
-                    self._feed_part(index, blob)
+                self._feed(parts)
             except SpacefarmError as exc:
                 self._fail_case(exc)
             self._event_loop(started)
@@ -277,25 +281,26 @@ class Master:
 
     # -- feeding ---------------------------------------------------------------------
 
-    def _feed_part(self, index: int, blob: bytes) -> None:
+    def _feed(self, parts: list[bytes]) -> None:
         cfg = self.config
-        session = self._session
-        # The file goes first, so a worker that claims the task can take it
-        # without waiting.
-        session.write(
-            FileEntry(
+        requests = []
+        for index, blob in enumerate(parts):
+            # The file goes first, so a worker that claims the task can take
+            # it without waiting.
+            file_entry = FileEntry(
                 case_id=cfg.case_id,
                 part_index=index,
                 entry_id=new_entry_id(),
                 payload=encode_payload(blob),
             )
-        )
-        session.write(
-            TaskEntry(
+            task = TaskEntry(
                 case_id=cfg.case_id, part_index=index, lease_ms=cfg.task_lease_ms
             )
-        )
-        self.execlog.emit("feed", case_id=cfg.case_id, part_index=index, txn=None)
+            requests += [write_request(file_entry), write_request(task)]
+            # Emitted before the batch goes out, so a part's latency is
+            # timed from no later than its write.
+            self.execlog.emit("feed", case_id=cfg.case_id, part_index=index, txn=None)
+        unwrap(self._session.batch(requests))
 
     # -- event loop --------------------------------------------------------------------
 
@@ -391,11 +396,14 @@ class Master:
 
     def _fail_case(self, error: SpacefarmError) -> None:
         cfg = self.config
-        # Without its configuration no worker runs the case's tasks again: a
-        # worker that claims one commits, which drops it. Attempts already
-        # running end on their own; wait for them, for at most one lease, so
-        # whatever they restore or publish is swept too.
+        # Without its configuration no worker runs the case's tasks again:
+        # the stop event makes workers drop their cached copy, and a worker
+        # that then claims one of its tasks commits, which drops it. Attempts
+        # already running end on their own; wait for them, for at most one
+        # lease, so whatever they restore or publish is swept too.
         self._sweep("ConfigurationEntry")
+        with contextlib.suppress(SpacefarmError):
+            self._session.write(StopEntry(case_id=cfg.case_id))
         deadline = time.monotonic() + cfg.task_lease_ms / 1000.0
         while True:
             try:
@@ -408,6 +416,7 @@ class Master:
             if not any(tasks.values()) or time.monotonic() >= deadline:
                 break
             time.sleep(0.05)
+        self._sweep("StopEntry")
         self.execlog.emit("case-failed", case_id=cfg.case_id, error=str(error))
         raise error
 

@@ -10,10 +10,16 @@ The manager shares one lock with the space so a transaction check and the
 operation it guards are a single atomic step.  The only participant is the
 in-process space, so commit applies in one step: there is no prepare phase
 and no participant that can be unreachable.
+
+A finished transaction keeps its record only while it is among the newest
+TERMINAL_RECORDS finished ones, so a server that runs for days holds a
+bounded number of records.  A recent id still answers TXN_NOT_OPEN; an older
+one answers UNKNOWN_TXN, which callers treat the same way.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -27,6 +33,7 @@ COMMITTED = "COMMITTED"
 ABORTED = "ABORTED"
 
 MIN_LEASE_MS = 100
+TERMINAL_RECORDS = 1024
 
 
 @dataclass
@@ -48,6 +55,7 @@ class TxnManager:
         self._lock = lock if lock is not None else threading.RLock()
         self._clock = clock
         self._records: dict[str, TxnRecord] = {}
+        self._finished: collections.deque[str] = collections.deque()  # oldest first
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -76,7 +84,7 @@ class TxnManager:
         with self._lock:
             rec = self._open_record(txn_id)
             self._participant.commit_apply(txn_id)
-            rec.state = COMMITTED
+            self._finish(rec, COMMITTED)
 
     def abort(self, txn_id: str) -> None:
         with self._lock:
@@ -84,8 +92,14 @@ class TxnManager:
             self._finish_abort(rec)
 
     def _finish_abort(self, rec: TxnRecord) -> None:
-        rec.state = ABORTED
+        self._finish(rec, ABORTED)
         self._participant.abort_apply(rec.txn_id)
+
+    def _finish(self, rec: TxnRecord, state: str) -> None:
+        rec.state = state
+        self._finished.append(rec.txn_id)
+        if len(self._finished) > TERMINAL_RECORDS:
+            del self._records[self._finished.popleft()]
 
     def _open_record(self, txn_id: str) -> TxnRecord:
         rec = self._records.get(txn_id)

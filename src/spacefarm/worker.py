@@ -1,30 +1,44 @@
 """Worker runtime: claim a task, run the agent, publish the result.
 
-The worker owns each task transaction T. It claims with one blocking take of
-the oldest TaskEntry under T, with no case in the template, so the take is
-the mutual exclusion, the wake-up and a fair queue across cases at once. It
-then takes the part's FileEntry under T, runs the agent, writes the
-ResultEntry under T and commits: the task and the file are consumed and the
-result published in one step. T is renewed at the task's lease as soon as
-the task is claimed, then by a heartbeat every third of the lease, so a dead
-worker is detected by expiry. Any abort, by expiry, by the worker itself or
-by an injected fault, restores the task and the file, and the next free
-worker claims them again.
+The worker owns each task transaction T and handles a part in three round
+trips, each one pipelined batch on its session:
 
-An idle worker keeps one claim transaction across empty claims and renews it
-after each, so waiting for work opens no transactions.
+1. The claim: renew T, then take the oldest TaskEntry under T, blocking.
+   No case is named, so the take is the mutual exclusion, the wake-up and a
+   fair queue across cases at once.
+2. Renew T to the task's lease, read the case's ConfigurationEntry (only if
+   it is not cached), and take the part's FileEntry under T.
+3. Write the ResultEntry under T, commit T, and open the transaction for
+   the next claim. The commit consumes the task and the file and publishes
+   the result in one step.
+
+Every frame of a batch is encoded before any is sent, so a commit never
+leaves without its write. A result too large to send abandons the attempt.
+
+Each case's configuration and agent descriptor are cached per case until
+the case's StopEntry event arrives. On a miss the worker reads the
+configuration, and a task whose case has none is committed, which drops it.
+
+One heartbeat thread per session renews the held T every third of its
+lease, so a dead worker is detected by expiry. Any abort, by expiry, by the
+worker itself or by an injected fault, restores the task and the file, and
+the next free worker claims them again. An idle worker keeps one claim
+transaction across empty claims and renews it with each claim, so waiting
+for work opens no transactions.
 
 Fault injection for the test harness is compiled in but dormant: the
 SPACEFARM_FAULT environment variable arms hooks at fixed phases of
 execution (after-claim, after-file-read, before-result-write,
 before-computed-mark) with an action of kill, pause:<ms>, or abort-txn.
-Each armed fault fires once per process.
+Each armed fault fires once per process. The last two fire before batch 3,
+so an abort there voids the result write.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import queue
 import shutil
 import threading
 import time
@@ -32,7 +46,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import CASE_ID_PARAM, AgentDescriptor, resolve
-from .client import Session, WireSpaceHandle
+from .client import (
+    Session,
+    WireSpaceHandle,
+    commit_request,
+    create_request,
+    read_request,
+    renew_request,
+    take_request,
+    unwrap,
+    write_request,
+)
 from .entries import (
     ConfigurationEntry,
     ResultEntry,
@@ -46,6 +70,7 @@ from .errors import (
     AgentNotFound,
     ConfigError,
     ConnectionFailed,
+    FrameTooLarge,
     SessionClosed,
     SpacefarmError,
     TxnNotOpen,
@@ -131,6 +156,57 @@ class FaultInjector:
                     pass
 
 
+class _Heartbeat:
+    """One thread per worker session: renews the task transaction the worker
+    holds every third of its lease, and notes a renewal that failed."""
+
+    def __init__(self, session: Session) -> None:
+        self._session = session
+        self._changed = threading.Condition()
+        self._held: tuple[str, int] | None = None
+        self._lost: str | None = None
+        self._closed = False
+        threading.Thread(target=self._run, name="task-heartbeat", daemon=True).start()
+
+    def hold(self, txn: str, lease_ms: int) -> None:
+        self._set((txn, lease_ms))
+
+    def release(self) -> None:
+        self._set(None)
+
+    def lost(self, txn: str) -> bool:
+        return self._lost == txn
+
+    def close(self) -> None:
+        self._closed = True
+        self.release()
+
+    def _set(self, held: tuple[str, int] | None) -> None:
+        with self._changed:
+            self._held = held
+            self._changed.notify()
+
+    def _run(self) -> None:
+        while True:
+            with self._changed:
+                held = self._held
+                period = None if held is None else max(held[1] / 3000.0, 0.05)
+                if self._changed.wait_for(
+                    lambda: self._closed or self._held is not held, period
+                ):
+                    if self._closed:
+                        return
+                    continue
+            txn, lease_ms = held
+            try:
+                self._session.txn_renew(txn, lease_ms)
+            except SpacefarmError:
+                self._lost = txn
+                with self._changed:
+                    if self._held is held:
+                        self._held = None
+
+
 class Worker:
     def __init__(
         self,
@@ -147,7 +223,11 @@ class Worker:
         self.worker_id = worker_id or new_entry_id()
         self.faults = injector if injector is not None else FaultInjector.from_env()
         self.execlog = execlog if execlog is not None else ExecLog.from_env()
-        self._agent_cache: dict[str, AgentDescriptor] = {}
+        # Owned by the claiming thread; the stop-event callback only queues
+        # the case, so a configuration read just before a case's stop event
+        # cannot be cached after the event was handled.
+        self._cases: dict[str, tuple[ConfigurationEntry, AgentDescriptor]] = {}
+        self._stopped: queue.SimpleQueue[str] = queue.SimpleQueue()
         self._handle: WireSpaceHandle | None = None
 
     # -- lifecycle ---------------------------------------------------------------
@@ -183,130 +263,128 @@ class Worker:
     def _serve(self, session: Session, stop: threading.Event) -> None:
         session.subscribe(Template("StopEntry"), self._on_stop_event)
         self.execlog.emit("worker-started", worker_id=self.worker_id)
-        txn: str | None = None
-        while not stop.is_set():
-            try:
+        heartbeat = _Heartbeat(session)
+        try:
+            txn: str | None = None
+            while not stop.is_set():
                 if txn is None:
                     txn = session.txn_create(CLAIM_LEASE_MS)
-                else:
-                    session.txn_renew(txn, CLAIM_LEASE_MS)
-                task = session.take(
-                    Template("TaskEntry"), txn=txn, timeout_ms=CLAIM_WAIT_MS
-                )
-            except (TxnNotOpen, UnknownTxn):
-                txn = None  # the claim transaction expired; open another
-                continue
-            if task is not None:
-                self._execute(session, task, txn)
-                txn = None
+                _, task = session.batch([
+                    renew_request(txn, CLAIM_LEASE_MS),
+                    take_request(Template("TaskEntry"), txn, CLAIM_WAIT_MS),
+                ])
+                if isinstance(task, (TxnNotOpen, UnknownTxn)):
+                    txn = None  # the claim transaction expired; open another
+                elif isinstance(task, SpacefarmError):
+                    raise task
+                elif task is not None:
+                    try:
+                        txn = self._execute(session, heartbeat, task, txn)
+                    finally:
+                        heartbeat.release()
+        finally:
+            heartbeat.close()
 
     def _on_stop_event(self, seq: int, entry) -> None:
-        self._agent_cache.pop(entry.case_id, None)
+        self._stopped.put(entry.case_id)
         self.execlog.emit(
             "case-stopped", worker_id=self.worker_id, case_id=entry.case_id
         )
 
     # -- execution -----------------------------------------------------------------
 
-    def _execute(self, session: Session, task: TaskEntry, txn: str) -> None:
+    def _execute(
+        self, session: Session, heartbeat: _Heartbeat, task: TaskEntry, txn: str
+    ) -> str | None:
+        """Run a claimed task under T, with the heartbeat holding T from the
+        second batch on; returns the transaction batch 3 opened for the next
+        claim, or None if the attempt ended before it."""
         self._emit("claimed", task, txn)
+        self.faults.fire(
+            "after-claim", self.execlog, session, txn,
+            worker_id=self.worker_id, part_index=task.part_index,
+        )
+        while not self._stopped.empty():
+            self._cases.pop(self._stopped.get(), None)
+        case = self._cases.get(task.case_id)
+        # T was opened with the short claim lease; from here on it carries
+        # the task's lease.
+        requests = [renew_request(txn, task.lease_ms)]
+        if case is None:
+            config_template = Template("ConfigurationEntry", {"case_id": task.case_id})
+            requests.append(read_request(config_template))
+        file_template = Template(
+            "FileEntry", {"case_id": task.case_id, "part_index": task.part_index}
+        )
+        requests.append(take_request(file_template, txn))
         try:
-            # T was opened with the short claim lease; from the claim on it
-            # carries the task's lease.
-            session.txn_renew(txn, task.lease_ms)
+            _, *read, file_entry = unwrap(session.batch(requests))
         except (TxnNotOpen, UnknownTxn):
             return self._abandon(session, task, txn, "lease-lost")
-        stop_hb = threading.Event()
-        lease_lost = threading.Event()
-        heartbeat = threading.Thread(
-            target=self._heartbeat,
-            args=(session, txn, task.lease_ms, stop_hb, lease_lost),
-            name="task-heartbeat",
-            daemon=True,
-        )
-        heartbeat.start()
-        try:
-            self.faults.fire(
-                "after-claim", self.execlog, session, txn,
-                worker_id=self.worker_id, part_index=task.part_index,
-            )
-            config = session.read(
-                Template("ConfigurationEntry", {"case_id": task.case_id})
-            )
+        heartbeat.hold(txn, task.lease_ms)
+        if case is None:
+            (config,) = read
             if config is None:
                 # The case is over: committing drops the orphan task instead
                 # of putting it back.
                 return self._abandon(
                     session, task, txn, "configuration-missing", commit=True
                 )
-            if (
-                self.allowed_agents is not None
-                and config.agent_id not in self.allowed_agents
-            ):
-                return self._abandon(session, task, txn, "agent-not-allowed")
             try:
-                descriptor = self._agent_for(config)
+                case = (config, resolve(config.agent_id, config.agent_version))
             except (AgentNotFound, VersionMismatch) as exc:
                 return self._abandon(session, task, txn, f"agent-unavailable: {exc}")
-            try:
-                file_entry = session.take(
-                    Template(
-                        "FileEntry",
-                        {"case_id": task.case_id, "part_index": task.part_index},
-                    ),
-                    txn=txn,
-                )
-            except (TxnNotOpen, UnknownTxn):
-                return self._abandon(session, task, txn, "lease-lost")
-            if file_entry is None:
-                return self._abandon(session, task, txn, "file-entry-missing")
+            self._cases[task.case_id] = case
+        config, descriptor = case
+        if self.allowed_agents is not None and config.agent_id not in self.allowed_agents:
+            return self._abandon(session, task, txn, "agent-not-allowed")
+        if file_entry is None:
+            return self._abandon(session, task, txn, "file-entry-missing")
+        self.faults.fire(
+            "after-file-read", self.execlog, session, txn,
+            worker_id=self.worker_id, part_index=task.part_index,
+        )
+        data = decode_payload(file_entry.payload)
+        self._emit("file-read", task, txn)
+        params = dict(config.agent_params)
+        params[CASE_ID_PARAM] = task.case_id
+        try:
+            output = descriptor.execute(data, params, self._space_handle())
+        except SpacefarmError as exc:
+            return self._abandon(session, task, txn, f"agent-failure: {exc}")
+        except Exception as exc:  # agent bug: replayable, not fatal
+            return self._abandon(session, task, txn, f"agent-failure: {exc!r}")
+        if heartbeat.lost(txn):
+            return self._abandon(session, task, txn, "lease-lost")
+        for phase in ("before-result-write", "before-computed-mark"):
             self.faults.fire(
-                "after-file-read", self.execlog, session, txn,
+                phase, self.execlog, session, txn,
                 worker_id=self.worker_id, part_index=task.part_index,
             )
-            data = decode_payload(file_entry.payload)
-            self._emit("file-read", task, txn)
-            params = dict(config.agent_params)
-            params[CASE_ID_PARAM] = task.case_id
-            try:
-                output = descriptor.execute(data, params, self._space_handle())
-            except SpacefarmError as exc:
-                return self._abandon(session, task, txn, f"agent-failure: {exc}")
-            except Exception as exc:  # agent bug: replayable, not fatal
-                return self._abandon(session, task, txn, f"agent-failure: {exc!r}")
-            if lease_lost.is_set():
-                return self._abandon(session, task, txn, "lease-lost")
-            self.faults.fire(
-                "before-result-write", self.execlog, session, txn,
-                worker_id=self.worker_id, part_index=task.part_index,
-            )
-            try:
-                session.write(
-                    ResultEntry(
-                        case_id=task.case_id,
-                        part_index=task.part_index,
-                        entry_id=new_entry_id(),
-                        payload=encode_payload(output),
-                    ),
-                    txn=txn,
-                )
-            except (TxnNotOpen, UnknownTxn):
-                return self._abandon(session, task, txn, "lease-lost")
-            self._emit("result-written", task, txn)
-            self.faults.fire(
-                "before-computed-mark", self.execlog, session, txn,
-                worker_id=self.worker_id, part_index=task.part_index,
-            )
-            # The commit is the mark now; the event keeps its name because
-            # exec-log readers pair it with result-written and commit.
-            self._emit("computed-marked", task, txn)
-            try:
-                session.txn_commit(txn)
-            except (TxnNotOpen, UnknownTxn):
-                return self._abandon(session, task, txn, "lease-lost")
-            self._emit("commit", task, txn)
-        finally:
-            stop_hb.set()
+        result = ResultEntry(
+            case_id=task.case_id,
+            part_index=task.part_index,
+            entry_id=new_entry_id(),
+            payload=encode_payload(output),
+        )
+        try:
+            written, committed, next_claim = session.batch([
+                write_request(result, txn),
+                commit_request(txn),
+                create_request(CLAIM_LEASE_MS),
+            ])
+        except FrameTooLarge:
+            return self._abandon(session, task, txn, "result-too-large")
+        try:
+            unwrap([written, committed])
+        except (TxnNotOpen, UnknownTxn):
+            self._abandon(session, task, txn, "lease-lost")
+        else:
+            # The commit is the mark now; the events keep their names
+            # because exec-log readers pair them.
+            for event in ("result-written", "computed-marked", "commit"):
+                self._emit(event, task, txn)
+        return unwrap([next_claim])[0]
 
     def _emit(self, event: str, task: TaskEntry, txn: str, **fields) -> None:
         self.execlog.emit(
@@ -318,36 +396,12 @@ class Worker:
             **fields,
         )
 
-    def _agent_for(self, config: ConfigurationEntry) -> AgentDescriptor:
-        cached = self._agent_cache.get(config.case_id)
-        if cached is not None:
-            return cached
-        descriptor = resolve(config.agent_id, config.agent_version)
-        self._agent_cache[config.case_id] = descriptor
-        return descriptor
-
     def _space_handle(self) -> WireSpaceHandle:
         # Agents may block on reads mid-execution; give them their own
         # connection so the control session stays responsive.
         if self._handle is None:
             self._handle = WireSpaceHandle(self.space_address)
         return self._handle
-
-    def _heartbeat(
-        self,
-        session: Session,
-        txn: str,
-        lease_ms: int,
-        stop: threading.Event,
-        lease_lost: threading.Event,
-    ) -> None:
-        period = max(lease_ms / 3.0 / 1000.0, 0.05)
-        while not stop.wait(period):
-            try:
-                session.txn_renew(txn, lease_ms)
-            except SpacefarmError:
-                lease_lost.set()
-                return
 
     def _abandon(
         self,

@@ -165,7 +165,7 @@ def running_workers(
         thread.start()
         threads.append(thread)
     try:
-        yield
+        yield threads
     finally:
         stop.set()
         for thread in threads:

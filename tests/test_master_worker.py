@@ -6,6 +6,8 @@ in the harness tests; here we exercise the transactional replay paths.
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
@@ -19,17 +21,28 @@ from conftest import (
     running_workers,
     spd_matrix,
 )
+from spacefarm import wire
 from spacefarm.agents import AgentDescriptor, _REGISTRY, cholesky, register
+from spacefarm.client import Session
 from spacefarm.entries import (
     FileEntry,
+    ResultEntry,
     TaskEntry,
     Template,
     encode_payload,
+    entry_to_wire,
     new_entry_id,
 )
-from spacefarm.errors import ConfigError, CutFailed, MaxAttemptsExceeded
+from spacefarm.errors import (
+    ConfigError,
+    ConnectionFailed,
+    CutFailed,
+    MaxAttemptsExceeded,
+)
 from spacefarm.execlog import load_events
+from spacefarm.harness import free_port
 from spacefarm.master import CaseConfig, Master
+from spacefarm.server import SpaceServer
 from spacefarm.worker import CLAIM_WAIT_MS, FaultInjector, _Fault
 
 
@@ -193,6 +206,235 @@ def test_task_of_a_finished_case_is_dropped_not_replayed(tmp_path, address, sess
     dropped = [e for e in events if e["event"] == "task-abandoned"]
     assert len(claims) == 1
     assert [e["reason"] for e in dropped] == ["configuration-missing"]
+
+
+def wait_for_event(logs, name, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        events = load_events([str(p) for p in logs.iterdir()])
+        if any(e["event"] == name for e in events):
+            return events
+        time.sleep(0.05)
+    raise AssertionError(f"no {name} event within {timeout_s} s")
+
+
+def test_task_of_a_failed_case_is_dropped_after_its_stop_event(
+    tmp_path, address, session
+):
+    """A failed case ends with its StopEntry too, so a worker that cached
+    the case's configuration drops it and then drops a stray task."""
+
+    def broken(data, params, space):
+        raise RuntimeError("synthetic agent failure")
+
+    descriptor = register(AgentDescriptor("fails-every-time", "1", broken))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    try:
+        config = make_case_config(
+            tmp_path,
+            address,
+            input_bytes=b"xxxx",
+            case_id="failed-case",
+            agent_id="fails-every-time",
+            num_parts=1,
+            max_attempts=1,
+        )
+        with running_workers(address, 1, tmp_path, execlog_dir=logs):
+            with pytest.raises(MaxAttemptsExceeded):
+                Master(config).run()
+            stopped_at = len(wait_for_event(logs, "case-stopped"))
+            session.write(TaskEntry("failed-case", 0, 1_000))
+            deadline = time.monotonic() + 10
+            while (
+                task_counts(session, "failed-case") != NO_TASKS
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            time.sleep(0.3)  # a task put back would be claimed again here
+        events = load_events([str(p) for p in logs.iterdir()])[stopped_at:]
+        assert [e["event"] for e in events if e["event"] == "claimed"] == ["claimed"]
+        dropped = [e["reason"] for e in events if e["event"] == "task-abandoned"]
+        assert dropped == ["configuration-missing"]
+        assert task_counts(session, "failed-case") == NO_TASKS
+        assert session.admin_status("failed-case")["case"]["stop"] is False
+    finally:
+        del _REGISTRY[descriptor.key]
+
+
+@pytest.fixture
+def server_process():
+    """A server in its own process, so lowering the client's frame limit
+    leaves the server's alone."""
+    address = f"127.0.0.1:{free_port()}"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spacefarm", "serve", "--bind", address],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                Session.connect(address, timeout_s=1.0).close()
+                break
+            except ConnectionFailed:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+        yield address
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+
+
+def test_a_result_too_large_to_send_fails_the_case_not_the_worker(
+    tmp_path, server_process, monkeypatch
+):
+    blob = bytes(range(256)) * 4
+    address = server_process
+
+    def body_bytes(entry, **params):
+        params["entry"] = entry_to_wire(entry)
+        return len(wire.encode_frame(wire.request(10**6, "space.write", params))) - 4
+
+    payload = encode_payload(blob)
+    # The master's file write and the worker's file take fit; the worker's
+    # result write does not.
+    feed = body_bytes(FileEntry("too-large", 0, new_entry_id(), payload))
+    result = body_bytes(
+        ResultEntry("too-large", 0, new_entry_id(), payload), txn=new_entry_id()
+    )
+    limit = (feed + result) // 2
+    assert feed < limit < result
+    monkeypatch.setattr(wire, "MAX_FRAME", limit)
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=blob,
+        case_id="too-large",
+        num_parts=1,
+        max_attempts=2,
+        task_lease_ms=1_000,
+    )
+    with running_workers(address, 2, tmp_path, execlog_dir=logs) as workers:
+        with pytest.raises(MaxAttemptsExceeded):
+            Master(config).run()
+        assert all(worker.is_alive() for worker in workers)
+    events = load_events([str(p) for p in logs.iterdir()])
+    reasons = Counter(e["reason"] for e in events if e["event"] == "task-abandoned")
+    assert reasons["result-too-large"] >= 2
+    session = Session.connect(address)
+    try:
+        assert task_counts(session, "too-large") == NO_TASKS
+    finally:
+        session.close()
+
+
+def test_a_part_costs_three_round_trips_and_one_configuration_read(
+    tmp_path, monkeypatch
+):
+    """One worker, 16 parts: the master feeds in one batch, and the worker
+    reads the configuration once and spends three batches per part."""
+    server = SpaceServer(host="127.0.0.1", port=0, record_history=True)
+    server.start()
+    host, port = server.address
+    batches = []  # (thread name, [(op, kind of its entry or template)], answers)
+    exchange = Session._exchange
+
+    def recording(self, ops):
+        answers = exchange(self, ops)
+        kinds = []
+        for op, params in ops:
+            named = params.get("entry") or params.get("template") or {}
+            kinds.append((op, named.get("kind")))
+        batches.append((threading.current_thread().name, kinds, answers))
+        return answers
+
+    monkeypatch.setattr(Session, "_exchange", recording)
+    try:
+        config = make_case_config(
+            tmp_path, f"{host}:{port}", input_bytes=bytes(range(64)), num_parts=16
+        )
+        assert run_case_with_workers(config, 1, tmp_path).results == 16
+        config_reads = [
+            row for row in server.space.history
+            if row["op"] == "read" and row["template"]["kind"] == "ConfigurationEntry"
+        ]
+    finally:
+        server.shutdown(drain_ms=0)
+    assert len(config_reads) == 1
+    feed = ("space.write", "TaskEntry")
+    feeds = [kinds for _, kinds, _ in batches if feed in kinds]
+    assert len(feeds) == 1 and feeds[0].count(feed) == 16
+    claim = [("txn.renew", None), ("space.take", "TaskEntry")]
+    fetch = [("txn.renew", None), ("space.take", "FileEntry")]
+    first_fetch = [fetch[0], ("space.read", "ConfigurationEntry"), fetch[1]]
+    publish = [
+        ("space.write", "ResultEntry"), ("txn.commit", None), ("txn.create", None)
+    ]
+    start = [[("space.subscribe", "StopEntry")], [("txn.create", None)]]
+    worker = [(kinds, answers) for name, kinds, answers in batches
+              if name == "test-worker-0"]
+    claims = [answers for kinds, answers in worker if kinds == claim]
+    rest = [kinds for kinds, _ in worker if kinds != claim]
+    # Claims that found no task yet, or none after the last part, are idle.
+    assert sum(answers[1]["entry"] is not None for answers in claims) == 16
+    assert sorted(rest) == sorted(start + [first_fetch] + [fetch] * 15 + [publish] * 16)
+
+
+def test_a_case_starts_no_thread_per_part(tmp_path, address, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    config = make_case_config(
+        tmp_path, address, input_bytes=bytes(range(64)), num_parts=32
+    )
+    assert run_case_with_workers(config, 1, tmp_path).results == 32
+    assert started.count("task-heartbeat") == 1
+    assert len(started) < 32
+
+
+def test_the_heartbeat_renews_a_task_that_outlasts_its_lease(tmp_path, address):
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=b"x",
+        num_parts=1,
+        task_lease_ms=300,
+        max_attempts=1,
+        agent_params={"delay_ms": 900},
+    )
+    report = run_case_with_workers(config, 1, tmp_path)
+    assert report.results == 1
+    assert report.replays == 0
+
+
+def test_soak_leaves_no_state_behind(server, address, tmp_path):
+    def settled():
+        deadline = time.monotonic() + 5
+        # The master's two sessions are gone once the server saw them close.
+        while len(server._conns) > 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stats = server.space.stats()
+        return stats["stored"], stats["subscriptions"]
+
+    after = []
+    with running_workers(address, 2, tmp_path):
+        for index in range(50):
+            config = make_case_config(
+                tmp_path, address, input_bytes=bytes(range(8)), case_id=f"soak-{index}"
+            )
+            assert Master(config).run().results == 4
+            if index in (0, 49):
+                after.append(settled())
+    assert after[0] == after[1]
 
 
 def test_idle_workers_keep_one_claim_transaction(server, address, tmp_path):

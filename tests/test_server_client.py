@@ -2,16 +2,26 @@
 
 import queue
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
 from spacefarm import wire
-from spacefarm.client import Session, parse_address
+from spacefarm.client import (
+    Session,
+    commit_request,
+    create_request,
+    parse_address,
+    read_request,
+    take_request,
+    write_request,
+)
 from spacefarm.entries import StopEntry, Template
 from spacefarm.errors import (
     ConnectionFailed,
+    FrameTooLarge,
     InvalidTemplate,
     SessionClosed,
     TxnNotOpen,
@@ -98,6 +108,83 @@ def test_pipelined_calls_pair_responses(session):
     session.write(StopEntry(case_id="blocked"))
     thread.join(timeout=5)
     assert outcome["take"] == StopEntry(case_id="blocked")
+
+
+def test_batch_answers_in_order_with_each_error_in_its_own_slot(session):
+    template = Template("StopEntry", {"case_id": "batched"})
+    txn = session.txn_create(5_000)
+    answers = session.batch([
+        write_request(StopEntry(case_id="batched"), txn),
+        commit_request("never-created"),
+        read_request(template),
+        commit_request(txn),
+        take_request(template),
+        take_request(template),
+        create_request(10),  # below the minimum lease
+        create_request(5_000),
+    ])
+    seq, unknown, before_commit, committed, taken, gone, refused, fresh = answers
+    assert isinstance(seq, int)
+    assert isinstance(unknown, UnknownTxn)
+    assert before_commit is None  # the write is still scoped to txn
+    assert committed is None
+    assert taken == StopEntry(case_id="batched")
+    assert gone is None
+    assert refused.code == "BAD_REQUEST"
+    assert session.txn_status(fresh).state == "OPEN"
+
+
+def test_concurrent_batches_on_one_session_get_their_own_answers(session):
+    """More threads than cores share one session; every batch must get the
+    answers to its own requests, in its own order."""
+    mismatches = []
+
+    def run(thread):
+        for k in range(40):
+            case = f"mixed-{thread}-{k}"
+            template = Template("StopEntry", {"case_id": case})
+            _, taken, gone = session.batch([
+                write_request(StopEntry(case_id=case)),
+                take_request(template),
+                read_request(template),
+            ])
+            if taken != StopEntry(case_id=case) or gone is not None:
+                mismatches.append((case, taken, gone))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(i,), daemon=True) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_batch_on_a_closed_session_raises_session_closed(address):
+    session = Session.connect(address)
+    session.close()
+    with pytest.raises(SessionClosed):
+        session.batch([create_request(5_000)])
+
+
+def test_a_frame_too_large_sends_no_op_of_its_batch(session, monkeypatch):
+    template = Template("StopEntry", {"case_id": "small"})
+    big = StopEntry(case_id="x" * 2_000)
+    with monkeypatch.context() as patch:
+        patch.setattr(wire, "MAX_FRAME", 1_000)
+        with pytest.raises(FrameTooLarge):
+            session.batch([write_request(StopEntry(case_id="small")), write_request(big)])
+        with pytest.raises(FrameTooLarge):
+            session.write(big)
+    assert session._pending == {}
+    assert session.read(template) is None
 
 
 def test_disconnect_during_blocked_take_consumes_nothing(server, address):

@@ -13,6 +13,7 @@ from spacefarm.transactions import (
     COMMITTED,
     MIN_LEASE_MS,
     OPEN,
+    TERMINAL_RECORDS,
     TxnManager,
 )
 
@@ -88,3 +89,19 @@ def test_abort_all(fake_clock):
     txns.commit(first)
     assert txns.abort_all() == [second]
     assert txns.open_count() == 0
+
+
+def test_terminal_records_are_bounded(fake_clock):
+    _, txns = make_pair(fake_clock)
+    held = [txns.create(1_000) for _ in range(3)]
+    finished = []
+    for _ in range(3 * TERMINAL_RECORDS):
+        txn = txns.create(1_000)
+        txns.commit(txn)
+        finished.append(txn)
+    assert len(txns._records) <= TERMINAL_RECORDS + len(held)
+    assert all(txns.is_open(txn) for txn in held)
+    with pytest.raises(TxnNotOpen):  # recent: still known
+        txns.commit(finished[-1])
+    with pytest.raises(UnknownTxn):  # old: forgotten
+        txns.commit(finished[0])
