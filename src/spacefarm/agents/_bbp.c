@@ -1,8 +1,10 @@
 /* Hex digits of pi at arbitrary positions, compiled kernel.
  *
- * Same fixed-point digit extraction as the pure kernel (_bbp_py.py), in
- * 128-bit integer arithmetic. The digits are written with the interpreter
- * lock released, so other threads (a worker's lease heartbeat) keep running
+ * The BBP digit extraction of the pure kernel (_bbp_py.py), but in 128-bit
+ * integer arithmetic: one evaluation of the four series per 16 digits,
+ * where the pure kernel makes one evaluation per call at a width that grows
+ * with the digit count. The digits are written with the interpreter lock
+ * released, so other threads (a worker's lease heartbeat) keep running
  * during a long call. */
 
 #define PY_SSIZE_T_CLEAN

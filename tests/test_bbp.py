@@ -85,15 +85,33 @@ def test_random_positions_against_oracle(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND)
 def test_windows_spanning_evaluation_boundaries(kernel):
-    # One evaluation yields 16 digits; straddle that boundary deliberately.
+    # The compiled kernel evaluates 16 digits at a time; straddle its
+    # boundaries deliberately.
     assert kernel.hex_digits(1, 33) == pi_hex(1, 33)
     assert kernel.hex_digits(15, 4) == pi_hex(15, 4)
     assert kernel.hex_digits(16, 1) == pi_hex(16, 1)
     assert kernel.hex_digits(17, 16) == pi_hex(17, 16)
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND)
+def test_wide_windows_against_oracle(kernel):
+    # The pure kernel's fixed-point width grows with count (4 bits a digit).
+    rng = random.Random(20261019)
+    for _ in range(20):
+        start = rng.randrange(1, 10_001)
+        count = rng.randrange(17, 301)
+        assert kernel.hex_digits(start, count) == pi_hex(start, count), (start, count)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND)
+def test_a_benchmark_sized_window_against_oracle(kernel):
+    # bbp-digits parts are 32 digits near position 1e5.
+    start = random.Random(20261019).randrange(100_001, 101_001)
+    assert kernel.hex_digits(start, 32) == pi_hex(start, 32), start
+
+
 @settings(max_examples=30, deadline=None)
-@given(start=st.integers(1, 3_000), count=st.integers(1, 20))
+@given(start=st.integers(1, 3_000), count=st.integers(1, 64))
 def test_kernels_agree(start, count):
     results = {kernel.hex_digits(start, count) for kernel in KERNELS}
     assert len(results) == 1

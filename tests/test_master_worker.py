@@ -21,8 +21,8 @@ from conftest import (
     running_workers,
     spd_matrix,
 )
-from spacefarm import wire
-from spacefarm.agents import AgentDescriptor, _REGISTRY, cholesky, register
+from spacefarm import transactions, wire
+from spacefarm.agents import AgentDescriptor, _REGISTRY, _bbp_py, bbp, cholesky, register
 from spacefarm.client import Session
 from spacefarm.entries import (
     FileEntry,
@@ -416,7 +416,34 @@ def test_the_heartbeat_renews_a_task_that_outlasts_its_lease(tmp_path, address):
     assert report.replays == 0
 
 
-def test_soak_leaves_no_state_behind(server, address, tmp_path):
+def test_the_heartbeat_renews_while_a_pure_python_kernel_computes(
+    tmp_path, address, monkeypatch
+):
+    # At this position the pure kernel computes in bytecode for longer than
+    # the 300 ms lease; the interpreter's thread switching lets the heartbeat
+    # renew meanwhile.
+    monkeypatch.setattr(bbp, "hex_digits", _bbp_py.hex_digits)
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=b"100001 32",
+        agent_id="bbp-pi",
+        cut_name="bbp_range",
+        num_parts=1,
+        task_lease_ms=300,
+        max_attempts=1,
+    )
+    report = run_case_with_workers(config, 1, tmp_path)
+    assert report.results == 1
+    assert report.replays == 0
+    with open(config.output_path, "rb") as fh:
+        assert fh.read() == pi_hex(100_001, 32).encode("ascii")
+
+
+def test_soak_leaves_no_state_behind(server, address, tmp_path, monkeypatch):
+    window = 64
+    monkeypatch.setattr(transactions, "TERMINAL_RECORDS", window)
+
     def settled():
         deadline = time.monotonic() + 5
         # The master's two sessions are gone once the server saw them close.
@@ -434,7 +461,12 @@ def test_soak_leaves_no_state_behind(server, address, tmp_path):
             assert Master(config).run().results == 4
             if index in (0, 49):
                 after.append(settled())
+        with server.txns._lock:
+            held = len(server.txns._records)
+            open_ = server.txns.open_count()
     assert after[0] == after[1]
+    # 50 cases finish far more transactions than the window holds.
+    assert held == window + open_
 
 
 def test_idle_workers_keep_one_claim_transaction(server, address, tmp_path):
