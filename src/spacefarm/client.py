@@ -1,8 +1,11 @@
 """Client session for the space/transaction server.
 
-A Session is safe to share between threads: calls are matched to responses by
-req_id, and subscription events are delivered on a dedicated dispatcher thread
-(callbacks must not issue blocking calls on the same session).
+A Session is one connection, safe to share between threads: calls are
+matched to responses by req_id. Its one reader thread handles every frame in
+stream order and runs a subscription's callback as its event arrives, so a
+call returns only after the events that the server sent ahead of its answer
+have been handled. Callbacks run on that thread, so, as in SpaceCore, they
+only enqueue: they never block and never call the session.
 
 `Session.batch` pipelines: it sends several requests in one write and then
 waits for each answer in order, so a batch costs one round trip.  The server
@@ -16,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import logging
-import queue
 import socket
 import threading
 from typing import Any, Callable, NamedTuple
@@ -102,11 +104,12 @@ def commit_request(txn_id: str) -> Request:
 
 
 class _Pending:
-    __slots__ = ("event", "response")
+    __slots__ = ("event", "response", "on_event")
 
-    def __init__(self) -> None:
+    def __init__(self, on_event: Callable[[dict[str, Any]], None] | None) -> None:
         self.event = threading.Event()
         self.response: dict[str, Any] | None = None
+        self.on_event = on_event  # a subscribe's callback
 
 
 class Session:
@@ -119,16 +122,12 @@ class Session:
         self._req_ids = itertools.count(1)
         self._pending: dict[int, _Pending] = {}
         self._pending_lock = threading.Lock()
+        # Read and written by the reader thread only.
         self._callbacks: dict[str, Callable[[dict[str, Any]], None]] = {}
-        self._orphan_events: dict[str, list[dict[str, Any]]] = {}
-        self._cb_lock = threading.Lock()
-        self._events: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = threading.Event()
-        for loop, name in (
-            (self._read_loop, "session-reader"),
-            (self._dispatch_loop, "session-events"),
-        ):
-            threading.Thread(target=loop, name=name, daemon=True).start()
+        threading.Thread(
+            target=self._read_loop, name="session-reader", daemon=True
+        ).start()
 
     # -- connection -----------------------------------------------------------
 
@@ -164,16 +163,11 @@ class Session:
             self._sock.shutdown(socket.SHUT_RDWR)
         with contextlib.suppress(OSError):
             self._sock.close()
-        self._events.put(None)
         with self._pending_lock:
             pending = list(self._pending.values())
             self._pending.clear()
         for p in pending:
             p.event.set()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
 
     # -- core call ---------------------------------------------------------------
 
@@ -197,8 +191,12 @@ class Session:
         ]
 
     def _exchange(
-        self, ops: list[tuple[str, dict[str, Any] | None]]
+        self,
+        ops: list[tuple[str, dict[str, Any] | None]],
+        on_event: Callable[[dict[str, Any]], None] | None = None,
     ) -> list[dict[str, Any] | SpacefarmError]:
+        """With `on_event`, `ops` is one subscribe and `on_event` the
+        callback of the subscription it opens."""
         if self._closed.is_set():
             raise SessionClosed(f"session to {self._peer} is closed")
         # Every frame is encoded before any is registered or sent, so a frame
@@ -209,7 +207,7 @@ class Session:
         for op, params in ops:
             req_id = next(self._req_ids)
             frames.append(wire.encode_frame(wire.request(req_id, op, params or {})))
-            waits[req_id] = _Pending()
+            waits[req_id] = _Pending(on_event)
         with self._pending_lock:
             self._pending.update(waits)
         try:
@@ -235,7 +233,7 @@ class Session:
                 answers.append(from_code(code, message))
         return answers
 
-    # -- background loops -----------------------------------------------------------
+    # -- reader ----------------------------------------------------------------------
 
     def _read_loop(self) -> None:
         try:
@@ -244,39 +242,26 @@ class Session:
                 if "req_id" in msg:
                     with self._pending_lock:
                         pending = self._pending.pop(msg["req_id"], None)
-                    if pending is not None:
-                        pending.response = msg
-                        pending.event.set()
+                    if pending is None:
+                        continue
+                    if pending.on_event is not None and msg.get("ok"):
+                        # The server sends no event of a subscription before
+                        # the subscribe's answer; the callback is in place
+                        # before the next frame is read.
+                        sub_id = msg["result"]["subscription_id"]
+                        self._callbacks[sub_id] = pending.on_event
+                    pending.response = msg
+                    pending.event.set()
                 elif "subscription_id" in msg:
-                    self._events.put(msg)
+                    callback = self._callbacks.get(msg["subscription_id"])
+                    if callback is None:
+                        continue
+                    try:
+                        callback(msg["payload"])
+                    except Exception:
+                        log.exception("subscription callback failed")
         except Exception:
             self.close()
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            msg = self._events.get()
-            if msg is None:
-                return
-            sub_id = msg["subscription_id"]
-            with self._cb_lock:
-                callback = self._callbacks.get(sub_id)
-                if callback is None:
-                    # Event raced ahead of the subscribe response; hold it.
-                    self._orphan_events.setdefault(sub_id, []).append(msg)
-                    continue
-            try:
-                callback(msg["payload"])
-            except Exception:
-                log.exception("subscription callback failed")
-
-    def _register_callback(
-        self, sub_id: str, callback: Callable[[dict[str, Any]], None]
-    ) -> None:
-        with self._cb_lock:
-            self._callbacks[sub_id] = callback
-            held = self._orphan_events.pop(sub_id, [])
-        for msg in held:
-            self._events.put(msg)
 
     # -- typed helpers ------------------------------------------------------------------
 
@@ -307,12 +292,9 @@ class Session:
         def on_event(payload: dict[str, Any]) -> None:
             callback(payload["seq"], entry_from_wire(payload["entry"]))
 
-        result = self.call(
-            "space.subscribe", {"template": template.to_wire(), "txn": txn}
-        )
-        sub_id = result["subscription_id"]
-        self._register_callback(sub_id, on_event)
-        return sub_id
+        params = {"template": template.to_wire(), "txn": txn}
+        (result,) = unwrap(self._exchange([("space.subscribe", params)], on_event))
+        return result["subscription_id"]
 
     def txn_create(self, lease_ms: int) -> str:
         return self._one(create_request(lease_ms))
@@ -336,41 +318,15 @@ class Session:
 
 
 class WireSpaceHandle:
-    """Space access handed to agents; lazily opens its own session so agent
-    reads never block the worker's control connection."""
+    """Space access handed to agents, over the worker's own session. An
+    agent's blocking read parks in the server as a waiter, so the session's
+    other calls, such as the heartbeat's renewals, still go through."""
 
-    def __init__(self, address: str) -> None:
-        self._address = address
-        self._session: Session | None = None
-        self._lock = threading.Lock()
-
-    def _get(self) -> Session:
-        with self._lock:
-            if self._session is None or self._session.closed:
-                self._session = Session.connect(self._address)
-            return self._session
+    def __init__(self, session: Session) -> None:
+        self._session = session
 
     def write(self, entry: Entry) -> int:
-        return self._get().write(entry)
+        return self._session.write(entry)
 
     def read(self, template: Template, timeout_ms: int | None = 0) -> Entry | None:
-        return self._get().read(template, timeout_ms=timeout_ms)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._session is not None:
-                self._session.close()
-                self._session = None
-
-
-class LocalSpaceHandle:
-    """In-process equivalent of WireSpaceHandle for embedded/test use."""
-
-    def __init__(self, core) -> None:
-        self._core = core
-
-    def write(self, entry: Entry) -> int:
-        return self._core.write(entry)
-
-    def read(self, template: Template, timeout_ms: int | None = 0) -> Entry | None:
-        return self._core.read(template, timeout_ms=timeout_ms)
+        return self._session.read(template, timeout_ms=timeout_ms)

@@ -66,13 +66,15 @@ class TaskEntry:
     """One part of a case waiting to be computed.
 
     ``lease_ms`` is the case's task lease: the claiming worker renews its
-    transaction at that lease while it works on the part.
+    transaction at that lease while it works on the part. ``agent_id`` is the
+    case's agent, so a worker with an allow list claims only what it may run.
     """
 
     kind: ClassVar[str] = "TaskEntry"
     case_id: str
     part_index: int
     lease_ms: int
+    agent_id: str
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,9 @@ def entry_from_wire(obj: dict[str, Any]) -> Entry:
 class Template:
     """Partial entry: a kind tag plus exact-equality constraints.
 
-    Unconstrained fields are wildcards.  Constraint keys must name scalar
-    fields of the kind; bulk fields are rejected at construction time.
+    Unconstrained fields are wildcards.  A constraint whose value is a list
+    matches any of its members.  Constraint keys must name scalar fields of
+    the kind; bulk fields are rejected at construction time.
     """
 
     kind: str
@@ -206,7 +209,9 @@ class Template:
         if entry.kind != self.kind:
             return False
         return all(
-            getattr(entry, name) == value
+            getattr(entry, name) in value
+            if isinstance(value, list)
+            else getattr(entry, name) == value
             for name, value in self.constraints.items()
         )
 

@@ -13,10 +13,14 @@ restore is the replay, and the master has nothing to re-feed.
 The master cuts the input and feeds every part in one pipelined batch: all
 FileEntry and TaskEntry writes go out in one send and cost one round trip.
 It then takes each ResultEntry of the case as a commit publishes it, keeping
-the result in memory, and follows a subscription to the case's TaskEntry.
-The first TaskEntry event for a part is the master's own feed; every later
-one is a restore, so it counts as one replay and one failed attempt toward
-max_attempts. The case's own StopEntry event closes that count.
+the result in memory, and follows a subscription to the case's TaskEntry on
+the same session. The first TaskEntry event for a part is the master's own
+feed; every later one is a restore, so it counts as one replay and one
+failed attempt toward max_attempts. Every restore of a part comes before the
+commit that publishes its result, the server sends both on the master's one
+connection in that order, and the session handles the event before the take
+returns the result; so once the last result is taken, every replay has been
+counted.
 
 A case ends, finished or failed, with its StopEntry. Workers cache each
 case's configuration and drop it on that event, so a task of a failed case
@@ -53,7 +57,6 @@ from .errors import (
     ConnectionFailed,
     CutFailed,
     MaxAttemptsExceeded,
-    SessionClosed,
     SpacefarmError,
     SpaceUnreachable,
     VersionMismatch,
@@ -201,10 +204,8 @@ class Master:
         except (AgentNotFound, VersionMismatch) as exc:
             raise ConfigError(str(exc)) from exc
         self._session: Session | None = None
-        self._inbox: Session | None = None  # subscriptions only
-        # Events of the case's TaskEntry (each part's feed, then its restores)
-        # and, last, of its StopEntry.
-        self._inbox_events: queue.SimpleQueue = queue.SimpleQueue()
+        # Events of the case's TaskEntry: each part's feed, then its restores.
+        self._task_events: queue.SimpleQueue = queue.SimpleQueue()
         self._events_per_part: Counter[int] = Counter()
         self._results: dict[int, bytes] = {}
         self._replays = 0
@@ -224,13 +225,8 @@ class Master:
             raise
         except Exception as exc:  # a strategy bug fails the case like bad input
             raise CutFailed(str(exc)) from exc
-        with contextlib.ExitStack() as stack:
-            self._session = stack.enter_context(contextlib.closing(self._connect()))
-            # Subscriptions get a connection of their own. The event for the
-            # master's own TaskEntry write is sent just ahead of the write's
-            # response, and on a shared connection that response would wait
-            # out the client's delayed ACK.
-            self._inbox = stack.enter_context(contextlib.closing(self._connect()))
+        self._session = self._connect()
+        with contextlib.closing(self._session):
             self._announce_case()
             try:
                 self._feed(parts)
@@ -262,11 +258,10 @@ class Master:
 
     def _announce_case(self) -> None:
         cfg = self.config
-        for kind in ("TaskEntry", "StopEntry"):
-            self._inbox.subscribe(
-                Template(kind, {"case_id": cfg.case_id}),
-                lambda seq, entry: self._inbox_events.put(entry),
-            )
+        self._session.subscribe(
+            Template("TaskEntry", {"case_id": cfg.case_id}),
+            lambda seq, entry: self._task_events.put(entry),
+        )
         # Written before any part is fed, so a worker that claims a task of
         # this case finds the configuration without waiting.
         self._session.write(
@@ -294,7 +289,10 @@ class Master:
                 payload=encode_payload(blob),
             )
             task = TaskEntry(
-                case_id=cfg.case_id, part_index=index, lease_ms=cfg.task_lease_ms
+                case_id=cfg.case_id,
+                part_index=index,
+                lease_ms=cfg.task_lease_ms,
+                agent_id=cfg.agent_id,
             )
             requests += [write_request(file_entry), write_request(task)]
             # Emitted before the batch goes out, so a part's latency is
@@ -318,8 +316,8 @@ class Master:
             result = self._session.take(results, timeout_ms=RESULT_WAIT_MS)
             if result is not None:
                 self._results[result.part_index] = decode_payload(result.payload)
-            while not self._inbox_events.empty():
-                self._on_task_event(self._inbox_events.get())
+            while not self._task_events.empty():
+                self._on_task_event(self._task_events.get())
         self._finish_case()
 
     def _check_worker_count(self) -> None:
@@ -328,8 +326,8 @@ class Master:
             status = self._session.admin_status()
         except SpacefarmError:
             return
-        # Minus this master's two sessions.
-        peers = max(0, int(status.get("sessions", 0)) - 2)
+        # Minus this master's session.
+        peers = max(0, int(status.get("sessions", 0)) - 1)
         if peers < cfg.initial_workers:
             log.warning(
                 "case %s: %d peer connections observed, config expects %d workers",
@@ -362,27 +360,13 @@ class Master:
 
     def _finish_case(self) -> None:
         cfg = self.config
-        stop = StopEntry(case_id=cfg.case_id)
-        self._session.write(stop)
-        # Results come in on the other connection. Every restore of the case
-        # reached the inbox ahead of this stop event, so once it is in, the
-        # replay count is complete.
-        while (event := self._next_inbox_event()) != stop:
-            self._on_task_event(event)
+        self._session.write(StopEntry(case_id=cfg.case_id))
         # Workers only needed the stop event, so the entry goes too.
         self._sweep("ConfigurationEntry", "RowEntry", "StopEntry")
         output = Path(cfg.output_path)
         output.parent.mkdir(parents=True, exist_ok=True)
         results = [self._results[index] for index in range(cfg.num_parts)]
         output.write_bytes(self.descriptor.assemble(results))
-
-    def _next_inbox_event(self) -> TaskEntry | StopEntry:
-        while True:
-            try:
-                return self._inbox_events.get(timeout=RESULT_WAIT_MS / 1000.0)
-            except queue.Empty:
-                if self._inbox.closed:
-                    raise SessionClosed("subscription session closed") from None
 
     def _sweep(self, *kinds: str) -> None:
         """Take every visible entry of the case of these kinds, without waiting."""

@@ -5,7 +5,8 @@ trips, each one pipelined batch on its session:
 
 1. The claim: renew T, then take the oldest TaskEntry under T, blocking.
    No case is named, so the take is the mutual exclusion, the wake-up and a
-   fair queue across cases at once.
+   fair queue across cases at once. A worker with an allow list constrains
+   the take to its agents, so it never claims a task it would refuse.
 2. Renew T to the task's lease, read the case's ConfigurationEntry (only if
    it is not cached), and take the part's FileEntry under T.
 3. Write the ResultEntry under T, commit T, and open the transaction for
@@ -18,6 +19,10 @@ leaves without its write. A result too large to send abandons the attempt.
 Each case's configuration and agent descriptor are cached per case until
 the case's StopEntry event arrives. On a miss the worker reads the
 configuration, and a task whose case has none is committed, which drops it.
+
+A worker has one session. Its agents read and write the space through it
+too: an agent's blocking read parks in the server as a waiter, so the
+heartbeat's renewals on the same session still go through.
 
 One heartbeat thread per session renews the held T every third of its
 lease, so a dead worker is detected by expiry. Any abort, by expiry, by the
@@ -219,7 +224,9 @@ class Worker:
     ) -> None:
         self.space_address = space_address
         self.scratch_root = Path(scratch_dir)
-        self.allowed_agents = set(allowed_agents) if allowed_agents else None
+        self._claim = Template(
+            "TaskEntry", {"agent_id": sorted(allowed_agents)} if allowed_agents else {}
+        )
         self.worker_id = worker_id or new_entry_id()
         self.faults = injector if injector is not None else FaultInjector.from_env()
         self.execlog = execlog if execlog is not None else ExecLog.from_env()
@@ -228,7 +235,6 @@ class Worker:
         # cannot be cached after the event was handled.
         self._cases: dict[str, tuple[ConfigurationEntry, AgentDescriptor]] = {}
         self._stopped: queue.SimpleQueue[str] = queue.SimpleQueue()
-        self._handle: WireSpaceHandle | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -250,8 +256,6 @@ class Worker:
                 continue  # server went away; reconnect and resubscribe
             finally:
                 session.close()
-        if self._handle is not None:
-            self._handle.close()
 
     def _reset_scratch(self) -> None:
         # The worker writes nothing here; the reset only sweeps what an
@@ -271,7 +275,7 @@ class Worker:
                     txn = session.txn_create(CLAIM_LEASE_MS)
                 _, task = session.batch([
                     renew_request(txn, CLAIM_LEASE_MS),
-                    take_request(Template("TaskEntry"), txn, CLAIM_WAIT_MS),
+                    take_request(self._claim, txn, CLAIM_WAIT_MS),
                 ])
                 if isinstance(task, (TxnNotOpen, UnknownTxn)):
                     txn = None  # the claim transaction expired; open another
@@ -336,8 +340,6 @@ class Worker:
                 return self._abandon(session, task, txn, f"agent-unavailable: {exc}")
             self._cases[task.case_id] = case
         config, descriptor = case
-        if self.allowed_agents is not None and config.agent_id not in self.allowed_agents:
-            return self._abandon(session, task, txn, "agent-not-allowed")
         if file_entry is None:
             return self._abandon(session, task, txn, "file-entry-missing")
         self.faults.fire(
@@ -349,7 +351,7 @@ class Worker:
         params = dict(config.agent_params)
         params[CASE_ID_PARAM] = task.case_id
         try:
-            output = descriptor.execute(data, params, self._space_handle())
+            output = descriptor.execute(data, params, WireSpaceHandle(session))
         except SpacefarmError as exc:
             return self._abandon(session, task, txn, f"agent-failure: {exc}")
         except Exception as exc:  # agent bug: replayable, not fatal
@@ -395,13 +397,6 @@ class Worker:
             txn=txn,
             **fields,
         )
-
-    def _space_handle(self) -> WireSpaceHandle:
-        # Agents may block on reads mid-execution; give them their own
-        # connection so the control session stays responsive.
-        if self._handle is None:
-            self._handle = WireSpaceHandle(self.space_address)
-        return self._handle
 
     def _abandon(
         self,

@@ -454,7 +454,10 @@ def _scan_task_intervals(history, case_id):
 
 
 def _task_write(order, seq, part):
-    entry = {"kind": "TaskEntry", "case_id": "c", "part_index": part, "lease_ms": 1}
+    entry = {
+        "kind": "TaskEntry", "case_id": "c", "part_index": part, "lease_ms": 1,
+        "agent_id": "echo",
+    }
     return {"op": "write", "order": order, "seq": seq, "txn": None, "entry": entry}
 
 

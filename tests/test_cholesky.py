@@ -7,7 +7,6 @@ import pytest
 
 from conftest import cholesky_oracle, spd_matrix
 from spacefarm.agents import CASE_ID_PARAM, cholesky
-from spacefarm.client import LocalSpaceHandle
 from spacefarm.cuts import cholesky_rowblock
 from spacefarm.errors import NotPositiveDefinite, RowTimeout
 from spacefarm.space import SpaceCore
@@ -19,14 +18,13 @@ def run_partitioned(a, p, case_id="chol-test"):
     data = cholesky.format_matrix(a).encode("utf-8")
     parts = cholesky_rowblock(data, p, {})
     core = SpaceCore()
-    handle = LocalSpaceHandle(core)
     params = {CASE_ID_PARAM: case_id, "row_timeout_ms": 20_000}
     results: dict[int, bytes] = {}
     errors = []
 
     def task(rank, payload):
         try:
-            results[rank] = cholesky.execute(payload, params, handle)
+            results[rank] = cholesky.execute(payload, params, core)
         except Exception as exc:  # surfaced after join
             errors.append(exc)
 
@@ -149,10 +147,9 @@ def test_row_timeout_when_sibling_never_publishes():
     a = spd_matrix(4, seed=5)
     data = cholesky.format_matrix(a).encode("utf-8")
     parts = cholesky_rowblock(data, 2, {})
-    handle = LocalSpaceHandle(SpaceCore())
     params = {CASE_ID_PARAM: "lonely", "row_timeout_ms": 200}
     with pytest.raises(RowTimeout):
-        cholesky.execute(parts[1], params, handle)  # rank 1 waits on row 0 forever
+        cholesky.execute(parts[1], params, SpaceCore())  # rank 1 waits on row 0 forever
 
 
 def test_multi_task_without_space_is_rejected():

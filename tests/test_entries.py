@@ -29,7 +29,7 @@ def sample_entries():
         ResultEntry("case-a", 0, new_entry_id(), encode_payload(b"")),
         ConfigurationEntry("case-a", "echo", "1", {"delay_ms": "0"}, 4),
         StopEntry("case-a"),
-        TaskEntry("case-a", 0, 30_000),
+        TaskEntry("case-a", 0, 30_000, "echo"),
         RowEntry("case-a", "0", 3, ("1", "0.5", "-2.25e-1")),
     ]
 
@@ -73,6 +73,14 @@ def test_template_matches_on_exact_scalar_equality():
     assert not Template("StopEntry").matches(entry)
 
 
+def test_a_list_constraint_matches_any_of_its_members():
+    template = Template("TaskEntry", {"agent_id": ["bbp-pi", "echo"]})
+    assert template.matches(TaskEntry("case-a", 0, 1_000, "echo"))
+    assert template.matches(TaskEntry("case-a", 0, 1_000, "bbp-pi"))
+    assert not template.matches(TaskEntry("case-a", 0, 1_000, "cholesky-rowblock"))
+    assert Template.from_wire(template.to_wire()) == template
+
+
 def test_template_rejects_unknown_kind_and_bulk_fields():
     with pytest.raises(InvalidTemplate):
         Template("Mystery")
@@ -84,7 +92,9 @@ def test_template_rejects_unknown_kind_and_bulk_fields():
 
 def test_matchable_fields_exclude_bulk_data():
     assert "payload" not in matchable_fields("FileEntry")
-    assert matchable_fields("TaskEntry") == {"case_id", "part_index", "lease_ms"}
+    assert matchable_fields("TaskEntry") == {
+        "case_id", "part_index", "lease_ms", "agent_id"
+    }
     assert "values" not in matchable_fields("RowEntry")
     assert {"case_id", "matrix_id", "row_index"} <= matchable_fields("RowEntry")
 

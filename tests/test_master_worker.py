@@ -107,6 +107,62 @@ def test_cholesky_case_matches_sequential_factorization(tmp_path, address):
     assert factor == cholesky_oracle(a)
 
 
+def test_a_case_holds_one_connection_per_process(tmp_path, server, address):
+    """The master and each worker hold one connection: the master's
+    subscription and the agents' row reads share it."""
+    a = spd_matrix(16, seed=3)
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=cholesky.format_matrix(a).encode("utf-8"),
+        agent_id="cholesky-rowblock",
+        cut_name="cholesky_rowblock",
+        num_parts=2,
+        initial_workers=2,
+        agent_params={"row_timeout_ms": 20_000},
+    )
+    peak = 0
+    done = threading.Event()
+
+    def watch():
+        nonlocal peak
+        while not done.is_set():
+            peak = max(peak, len(server._conns))
+            time.sleep(0.001)
+
+    watcher = threading.Thread(target=watch, daemon=True)
+    watcher.start()
+    try:
+        report = run_case_with_workers(config, 2, tmp_path)
+    finally:
+        done.set()
+        watcher.join(timeout=5)
+    assert report.results == 2
+    assert peak <= 2 + 1
+
+
+def test_a_restricted_worker_never_claims_a_task_it_may_not_run(tmp_path, address):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=bytes(range(8)),
+        num_parts=2,
+        max_attempts=5,
+        agent_params={"delay_ms": 1_000},
+    )
+    with running_workers(address, 1, tmp_path / "any"):
+        with running_workers(
+            address, 1, tmp_path / "bbp", allowed_agents=["bbp-pi"], execlog_dir=logs
+        ):
+            report = Master(config).run()
+    assert report.results == 2
+    assert report.replays == 0
+    events = load_events([str(p) for p in logs.iterdir()])
+    assert [e for e in events if e["event"] == "claimed"] == []
+
+
 def test_abort_fault_replays_part_and_still_completes(tmp_path, address, session):
     payload = bytes(range(48))
     config = make_case_config(tmp_path, address, input_bytes=payload)
@@ -194,7 +250,7 @@ def test_task_of_a_finished_case_is_dropped_not_replayed(tmp_path, address, sess
     logs = tmp_path / "logs"
     logs.mkdir()
     session.write(FileEntry("gone", 0, new_entry_id(), encode_payload(b"x")))
-    session.write(TaskEntry("gone", 0, 1_000))
+    session.write(TaskEntry("gone", 0, 1_000, "echo"))
     with running_workers(address, 1, tmp_path, execlog_dir=logs):
         deadline = time.monotonic() + 10
         while task_counts(session, "gone") != NO_TASKS and time.monotonic() < deadline:
@@ -244,7 +300,7 @@ def test_task_of_a_failed_case_is_dropped_after_its_stop_event(
             with pytest.raises(MaxAttemptsExceeded):
                 Master(config).run()
             stopped_at = len(wait_for_event(logs, "case-stopped"))
-            session.write(TaskEntry("failed-case", 0, 1_000))
+            session.write(TaskEntry("failed-case", 0, 1_000, "fails-every-time"))
             deadline = time.monotonic() + 10
             while (
                 task_counts(session, "failed-case") != NO_TASKS
@@ -343,8 +399,8 @@ def test_a_part_costs_three_round_trips_and_one_configuration_read(
     batches = []  # (thread name, [(op, kind of its entry or template)], answers)
     exchange = Session._exchange
 
-    def recording(self, ops):
-        answers = exchange(self, ops)
+    def recording(self, ops, *rest):
+        answers = exchange(self, ops, *rest)
         kinds = []
         for op, params in ops:
             named = params.get("entry") or params.get("template") or {}

@@ -301,6 +301,23 @@ def test_subscription_events_arrive(session):
     assert got_seq == seq and got_entry == StopEntry(case_id="sub-case")
 
 
+def test_an_event_is_handled_before_the_response_sent_after_it(session):
+    """The server sends a write's event ahead of the write's response, and
+    the session handles its frames in that order: a write returns only after
+    its own event has been handled."""
+    handled = set()
+    session.subscribe(
+        Template("StopEntry", {"case_id": "ordered"}),
+        lambda seq, entry: handled.add(seq),
+    )
+    late = []
+    for _ in range(300):
+        seq = session.write(StopEntry(case_id="ordered"))
+        if seq not in handled:
+            late.append(seq)
+    assert late == []
+
+
 def test_subscription_sees_commit_promotions(session):
     inbox: queue.Queue = queue.Queue()
     session.subscribe(
