@@ -8,7 +8,6 @@ the agents that do the actual computing.
 
 from .entries import (
     ConfigurationEntry,
-    FileEntry,
     ResultEntry,
     RowEntry,
     StopEntry,
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationEntry",
-    "FileEntry",
     "ResultEntry",
     "RowEntry",
     "Session",

@@ -109,7 +109,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
         snapshot = {
             "case_id": args.case,
             "tasks": case.get("tasks", {"wait": 0, "on": 0, "computed": 0}),
-            "file_entries": case.get("file_entries", 0),
             "result_entries": case.get("result_entries", 0),
             "open_txns": status.get("open_txns", 0),
             "stop": case.get("stop", False),

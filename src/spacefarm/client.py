@@ -5,7 +5,10 @@ matched to responses by req_id. Its one reader thread handles every frame in
 stream order and runs a subscription's callback as its event arrives, so a
 call returns only after the events that the server sent ahead of its answer
 have been handled. Callbacks run on that thread, so, as in SpaceCore, they
-only enqueue: they never block and never call the session.
+only enqueue: they never block and never call the session. An event names
+the entry, it does not carry it: the callback gets the entry's sequence
+number and its kind and matchable fields, as in a JavaSpaces `notify`, and
+a bulk field such as `payload` or `values` never crosses the wire twice.
 
 `Session.batch` pipelines: it sends several requests in one write and then
 waits for each answer in order, so a batch costs one round trip.  The server
@@ -286,11 +289,14 @@ class Session:
     def subscribe(
         self,
         template: Template,
-        callback: Callable[[int, Entry], None],
+        callback: Callable[[int, dict[str, Any]], None],
         txn: str | None = None,
     ) -> str:
+        """Call `callback(seq, fields)` for each entry that becomes visible
+        and matches; `fields` holds the entry's kind and matchable fields."""
+
         def on_event(payload: dict[str, Any]) -> None:
-            callback(payload["seq"], entry_from_wire(payload["entry"]))
+            callback(payload["seq"], payload["fields"])
 
         params = {"template": template.to_wire(), "txn": txn}
         (result,) = unwrap(self._exchange([("space.subscribe", params)], on_event))

@@ -5,12 +5,14 @@ is always expressed as take-then-rewrite of a whole entry.  Each kind carries
 a ``kind`` tag used for template matching and for the wire representation
 (a flat JSON object with the ``kind`` key plus the entry fields).
 
-Work is a bag of tasks: one ``TaskEntry`` per part, written once. A worker
-claims it by taking it under its own transaction, so no two workers can hold
-it; an abort puts it back, and a commit consumes it for good.
+Work is a bag of tasks: one ``TaskEntry`` per part, written once, carrying
+the part's data. A worker claims it by taking it under its own transaction,
+so no two workers can hold it; an abort puts it back, and a commit consumes
+it for good.
 
 Payload-like fields (``payload``, ``values``) are opaque to the matcher:
-templates may only constrain scalar fields.
+templates may only constrain scalar fields. A subscription event carries an
+entry's ``event_fields``: its kind and matchable fields, never its bulk data.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def decode_payload(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class TaskEntry:
-    """One part of a case waiting to be computed.
+    """One part of a case waiting to be computed, with the part's data.
 
     ``lease_ms`` is the case's task lease: the claiming worker renews its
     transaction at that lease while it works on the part. ``agent_id`` is the
@@ -75,14 +77,6 @@ class TaskEntry:
     part_index: int
     lease_ms: int
     agent_id: str
-
-
-@dataclass(frozen=True)
-class FileEntry:
-    kind: ClassVar[str] = "FileEntry"
-    case_id: str
-    part_index: int
-    entry_id: str
     payload: str  # Base64 text
 
 
@@ -127,8 +121,7 @@ class RowEntry:
 
 
 Entry = (
-    FileEntry
-    | ResultEntry
+    ResultEntry
     | ConfigurationEntry
     | StopEntry
     | TaskEntry
@@ -138,7 +131,6 @@ Entry = (
 ENTRY_KINDS: dict[str, type] = {
     cls.kind: cls
     for cls in (
-        FileEntry,
         ResultEntry,
         ConfigurationEntry,
         StopEntry,
@@ -151,6 +143,16 @@ ENTRY_KINDS: dict[str, type] = {
 def matchable_fields(kind: str) -> set[str]:
     cls = ENTRY_KINDS[kind]
     return {f.name for f in fields(cls)} - _UNMATCHABLE_FIELDS
+
+
+def event_fields(entry: Entry) -> dict[str, Any]:
+    """The entry's kind and matchable fields, as a subscription event carries
+    them."""
+    return {
+        name: value
+        for name, value in entry_to_wire(entry).items()
+        if name not in _UNMATCHABLE_FIELDS
+    }
 
 
 def entry_to_wire(entry: Entry) -> dict[str, Any]:

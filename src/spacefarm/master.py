@@ -1,26 +1,26 @@
 """Case master: cuts the input, feeds tasks through the space, collects
 results, counts replays, and assembles the output.
 
-The master writes each part's FileEntry and TaskEntry once, outside any
-transaction. A worker claims a task by taking it under its own transaction,
-takes the part's file and writes the ResultEntry under the same transaction,
-and commits: one step consumes the task and the file and publishes the
-result. A part has one task entry and only one commit can consume it, so each
-part is committed exactly once. A crash, a lease expiry or an explicit abort
-restores the task and the file with their original sequence numbers; that
-restore is the replay, and the master has nothing to re-feed.
+The master writes each part's TaskEntry once, outside any transaction, with
+the part's data in it. A worker claims a task by taking it under its own
+transaction, writes the ResultEntry under the same transaction, and commits:
+one step consumes the task and publishes the result. A part has one task
+entry and only one commit can consume it, so each part is committed exactly
+once. A crash, a lease expiry or an explicit abort restores the task with its
+original sequence number; that restore is the replay, and the master has
+nothing to re-feed.
 
 The master cuts the input and feeds every part in one pipelined batch: all
-FileEntry and TaskEntry writes go out in one send and cost one round trip.
-It then takes each ResultEntry of the case as a commit publishes it, keeping
-the result in memory, and follows a subscription to the case's TaskEntry on
-the same session. The first TaskEntry event for a part is the master's own
-feed; every later one is a restore, so it counts as one replay and one
-failed attempt toward max_attempts. Every restore of a part comes before the
-commit that publishes its result, the server sends both on the master's one
-connection in that order, and the session handles the event before the take
-returns the result; so once the last result is taken, every replay has been
-counted.
+TaskEntry writes go out in one send and cost one round trip. It then takes
+each ResultEntry of the case as a commit publishes it, keeping the result in
+memory, and follows a subscription to the case's TaskEntry on the same
+session. An event carries the task's part_index but not its data. The first
+TaskEntry event for a part is the master's own feed; every later one is a
+restore, so it counts as one replay and one failed attempt toward
+max_attempts. Every restore of a part comes before the commit that publishes
+its result, the server sends both on the master's one connection in that
+order, and the session handles the event before the take returns the
+result; so once the last result is taken, every replay has been counted.
 
 A case ends, finished or failed, with its StopEntry. Workers cache each
 case's configuration and drop it on that event, so a task of a failed case
@@ -43,13 +43,11 @@ from .client import Session, unwrap, write_request
 from .cuts import STRATEGIES, cut
 from .entries import (
     ConfigurationEntry,
-    FileEntry,
     StopEntry,
     TaskEntry,
     Template,
     decode_payload,
     encode_payload,
-    new_entry_id,
 )
 from .errors import (
     AgentNotFound,
@@ -204,7 +202,8 @@ class Master:
         except (AgentNotFound, VersionMismatch) as exc:
             raise ConfigError(str(exc)) from exc
         self._session: Session | None = None
-        # Events of the case's TaskEntry: each part's feed, then its restores.
+        # Part indexes of the case's TaskEntry events: each part's feed, then
+        # its restores.
         self._task_events: queue.SimpleQueue = queue.SimpleQueue()
         self._events_per_part: Counter[int] = Counter()
         self._results: dict[int, bytes] = {}
@@ -260,7 +259,7 @@ class Master:
         cfg = self.config
         self._session.subscribe(
             Template("TaskEntry", {"case_id": cfg.case_id}),
-            lambda seq, entry: self._task_events.put(entry),
+            lambda seq, fields: self._task_events.put(fields["part_index"]),
         )
         # Written before any part is fed, so a worker that claims a task of
         # this case finds the configuration without waiting.
@@ -280,21 +279,14 @@ class Master:
         cfg = self.config
         requests = []
         for index, blob in enumerate(parts):
-            # The file goes first, so a worker that claims the task can take
-            # it without waiting.
-            file_entry = FileEntry(
-                case_id=cfg.case_id,
-                part_index=index,
-                entry_id=new_entry_id(),
-                payload=encode_payload(blob),
-            )
             task = TaskEntry(
                 case_id=cfg.case_id,
                 part_index=index,
                 lease_ms=cfg.task_lease_ms,
                 agent_id=cfg.agent_id,
+                payload=encode_payload(blob),
             )
-            requests += [write_request(file_entry), write_request(task)]
+            requests.append(write_request(task))
             # Emitted before the batch goes out, so a part's latency is
             # timed from no later than its write.
             self.execlog.emit("feed", case_id=cfg.case_id, part_index=index, txn=None)
@@ -338,9 +330,8 @@ class Master:
 
     # -- restore handling --------------------------------------------------------------
 
-    def _on_task_event(self, task: TaskEntry) -> None:
+    def _on_task_event(self, index: int) -> None:
         cfg = self.config
-        index = task.part_index
         self._events_per_part[index] += 1
         failed = self._events_per_part[index] - 1
         if failed == 0:
@@ -394,7 +385,7 @@ class Master:
                 tasks = self._session.admin_status(cfg.case_id)["case"]["tasks"]
             except SpacefarmError:
                 break
-            self._sweep("TaskEntry", "FileEntry", "ResultEntry", "RowEntry")
+            self._sweep("TaskEntry", "ResultEntry", "RowEntry")
             # No task waiting, held or with an uncollected result: none can
             # come back, so this sweep left nothing behind.
             if not any(tasks.values()) or time.monotonic() >= deadline:

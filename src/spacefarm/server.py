@@ -3,14 +3,16 @@
 Concurrency layout: one event-loop thread serves everything.  Its `selectors`
 loop accepts connections, reads frames without blocking, runs each request
 to completion in arrival order per connection, and buffers each connection's
-responses and subscription events until its socket takes them.  A lookup
-that finds nothing parks in the space as a waiter, answered later by the
-write, commit or abort that makes a match visible, by its transaction's end,
-or by its deadline, kept in a heap here.  The loop also runs the transaction
-sweep every `txn_sweep_ms`.  A dropped connection's waiters are discarded
-and consume nothing.  Other threads never touch a connection: an in-process
-space call queues its messages, and `shutdown` hands over its abort and
-drain, both waking the loop through a socket pair.
+responses and subscription events until its socket takes them; Nagle is off
+on every connection.  A subscription event carries the entry's kind and
+matchable fields, not its bulk data.  A lookup that finds nothing parks in
+the space as a waiter, answered later by the write, commit or abort that
+makes a match visible, by its transaction's end, or by its deadline, kept in
+a heap here.  The loop also runs the transaction sweep every `txn_sweep_ms`.
+A dropped connection's waiters are discarded and consume nothing.  Other
+threads never touch a connection: an in-process space call queues its
+messages, and `shutdown` hands over its abort and drain, both waking the
+loop through a socket pair.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from typing import Any
 
 from . import wire
-from .entries import Template, entry_from_wire, entry_to_wire
+from .entries import Template, entry_from_wire, entry_to_wire, event_fields
 from .errors import BadRequest, SpacefarmError, UnknownOp, error_code
 from .space import SpaceCore, Waiter
 from .transactions import TxnManager
@@ -162,6 +164,8 @@ class SpaceServer:
         except OSError:
             return
         sock.setblocking(False)
+        # Small answers and events must not wait for the client's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = _Conn(sock)
         self._conns.add(conn)
         self._selector.register(sock, _READ, conn)
@@ -312,9 +316,8 @@ class SpaceServer:
         template = Template.from_wire(params["template"])
 
         def deliver(sub_id: str, seq: int, entry) -> None:
-            self._push(
-                conn, wire.event(sub_id, {"seq": seq, "entry": entry_to_wire(entry)})
-            )
+            event = {"seq": seq, "fields": event_fields(entry)}
+            self._push(conn, wire.event(sub_id, event))
 
         sub_id = self.space.subscribe(template, deliver, txn=params.get("txn"))
         conn.subs.append(sub_id)
@@ -355,7 +358,7 @@ class SpaceServer:
     def _case_counts(self, case_id: str) -> dict[str, Any]:
         """Task entries waiting (visible) and on (held by a worker's open
         transaction); computed are the results the master has not collected."""
-        kinds = ("TaskEntry", "FileEntry", "ResultEntry", "RowEntry", "StopEntry")
+        kinds = ("TaskEntry", "ResultEntry", "RowEntry", "StopEntry")
         counts = {
             kind: self.space.count(Template(kind, {"case_id": case_id}))
             for kind in kinds
@@ -365,7 +368,6 @@ class SpaceServer:
         return {
             "case_id": case_id,
             "tasks": {"wait": wait, "on": on, "computed": results},
-            "file_entries": counts["FileEntry"][0],
             "result_entries": results,
             "row_entries": counts["RowEntry"][0],
             "stop": counts["StopEntry"][0] > 0,

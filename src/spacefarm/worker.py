@@ -1,33 +1,34 @@
 """Worker runtime: claim a task, run the agent, publish the result.
 
-The worker owns each task transaction T and handles a part in three round
+The worker owns each task transaction T and handles a part in two round
 trips, each one pipelined batch on its session:
 
 1. The claim: renew T, then take the oldest TaskEntry under T, blocking.
    No case is named, so the take is the mutual exclusion, the wake-up and a
    fair queue across cases at once. A worker with an allow list constrains
-   the take to its agents, so it never claims a task it would refuse.
-2. Renew T to the task's lease, read the case's ConfigurationEntry (only if
-   it is not cached), and take the part's FileEntry under T.
-3. Write the ResultEntry under T, commit T, and open the transaction for
-   the next claim. The commit consumes the task and the file and publishes
-   the result in one step.
+   the take to its agents, so it never claims a task it would refuse. The
+   task carries the part's data.
+2. Write the ResultEntry under T, commit T, and open the transaction for
+   the next claim. The commit consumes the task and publishes the result in
+   one step.
 
 Every frame of a batch is encoded before any is sent, so a commit never
 leaves without its write. A result too large to send abandons the attempt.
 
 Each case's configuration and agent descriptor are cached per case until
 the case's StopEntry event arrives. On a miss the worker reads the
-configuration, and a task whose case has none is committed, which drops it.
+configuration before it runs the agent, one more round trip per case, and
+a task whose case has none is committed, which drops it.
 
 A worker has one session. Its agents read and write the space through it
 too: an agent's blocking read parks in the server as a waiter, so the
 heartbeat's renewals on the same session still go through.
 
-One heartbeat thread per session renews the held T every third of its
-lease, so a dead worker is detected by expiry. Any abort, by expiry, by the
-worker itself or by an injected fault, restores the task and the file, and
-the next free worker claims them again. An idle worker keeps one claim
+One heartbeat thread per session renews the held T to the task's lease as
+soon as the worker claims it, off the worker's path, and then every third
+of the lease, so a dead worker is detected by expiry. Any abort, by expiry,
+by the worker itself or by an injected fault, restores the task, and the
+next free worker claims it again. An idle worker keeps one claim
 transaction across empty claims and renews it with each claim, so waiting
 for work opens no transactions.
 
@@ -35,7 +36,7 @@ Fault injection for the test harness is compiled in but dormant: the
 SPACEFARM_FAULT environment variable arms hooks at fixed phases of
 execution (after-claim, after-file-read, before-result-write,
 before-computed-mark) with an action of kill, pause:<ms>, or abort-txn.
-Each armed fault fires once per process. The last two fire before batch 3,
+Each armed fault fires once per process. The last two fire before batch 2,
 so an abort there voids the result write.
 """
 
@@ -56,7 +57,6 @@ from .client import (
     WireSpaceHandle,
     commit_request,
     create_request,
-    read_request,
     renew_request,
     take_request,
     unwrap,
@@ -163,7 +163,8 @@ class FaultInjector:
 
 class _Heartbeat:
     """One thread per worker session: renews the task transaction the worker
-    holds every third of its lease, and notes a renewal that failed."""
+    holds at once and then every third of its lease, and notes a renewal that
+    failed."""
 
     def __init__(self, session: Session) -> None:
         self._session = session
@@ -192,16 +193,19 @@ class _Heartbeat:
             self._changed.notify()
 
     def _run(self) -> None:
+        held = None
         while True:
             with self._changed:
+                if self._held is held:
+                    period = None if held is None else max(held[1] / 3000.0, 0.05)
+                    self._changed.wait_for(
+                        lambda: self._closed or self._held is not held, period
+                    )
+                if self._closed:
+                    return
                 held = self._held
-                period = None if held is None else max(held[1] / 3000.0, 0.05)
-                if self._changed.wait_for(
-                    lambda: self._closed or self._held is not held, period
-                ):
-                    if self._closed:
-                        return
-                    continue
+            if held is None:
+                continue
             txn, lease_ms = held
             try:
                 self._session.txn_renew(txn, lease_ms)
@@ -289,10 +293,10 @@ class Worker:
         finally:
             heartbeat.close()
 
-    def _on_stop_event(self, seq: int, entry) -> None:
-        self._stopped.put(entry.case_id)
+    def _on_stop_event(self, seq: int, fields: dict) -> None:
+        self._stopped.put(fields["case_id"])
         self.execlog.emit(
-            "case-stopped", worker_id=self.worker_id, case_id=entry.case_id
+            "case-stopped", worker_id=self.worker_id, case_id=fields["case_id"]
         )
 
     # -- execution -----------------------------------------------------------------
@@ -300,34 +304,23 @@ class Worker:
     def _execute(
         self, session: Session, heartbeat: _Heartbeat, task: TaskEntry, txn: str
     ) -> str | None:
-        """Run a claimed task under T, with the heartbeat holding T from the
-        second batch on; returns the transaction batch 3 opened for the next
-        claim, or None if the attempt ended before it."""
+        """Run a claimed task under T, with the heartbeat holding T; returns
+        the transaction the publish batch opened for the next claim, or None
+        if the attempt ended before it."""
         self._emit("claimed", task, txn)
         self.faults.fire(
             "after-claim", self.execlog, session, txn,
             worker_id=self.worker_id, part_index=task.part_index,
         )
+        # T was opened with the short claim lease; the heartbeat renews it to
+        # the task's lease now, beside the work below.
+        heartbeat.hold(txn, task.lease_ms)
         while not self._stopped.empty():
             self._cases.pop(self._stopped.get(), None)
         case = self._cases.get(task.case_id)
-        # T was opened with the short claim lease; from here on it carries
-        # the task's lease.
-        requests = [renew_request(txn, task.lease_ms)]
         if case is None:
             config_template = Template("ConfigurationEntry", {"case_id": task.case_id})
-            requests.append(read_request(config_template))
-        file_template = Template(
-            "FileEntry", {"case_id": task.case_id, "part_index": task.part_index}
-        )
-        requests.append(take_request(file_template, txn))
-        try:
-            _, *read, file_entry = unwrap(session.batch(requests))
-        except (TxnNotOpen, UnknownTxn):
-            return self._abandon(session, task, txn, "lease-lost")
-        heartbeat.hold(txn, task.lease_ms)
-        if case is None:
-            (config,) = read
+            config = session.read(config_template)
             if config is None:
                 # The case is over: committing drops the orphan task instead
                 # of putting it back.
@@ -340,13 +333,11 @@ class Worker:
                 return self._abandon(session, task, txn, f"agent-unavailable: {exc}")
             self._cases[task.case_id] = case
         config, descriptor = case
-        if file_entry is None:
-            return self._abandon(session, task, txn, "file-entry-missing")
         self.faults.fire(
             "after-file-read", self.execlog, session, txn,
             worker_id=self.worker_id, part_index=task.part_index,
         )
-        data = decode_payload(file_entry.payload)
+        data = decode_payload(task.payload)
         self._emit("file-read", task, txn)
         params = dict(config.agent_params)
         params[CASE_ID_PARAM] = task.case_id

@@ -24,7 +24,7 @@ from conftest import (
 )
 from spacefarm.agents import cholesky
 from spacefarm.client import Session
-from spacefarm.entries import FileEntry, StopEntry, Template, encode_payload
+from spacefarm.entries import ResultEntry, StopEntry, Template, encode_payload
 from spacefarm.errors import SessionClosed
 from spacefarm.execlog import load_events
 from spacefarm.harness import Scenario, run_scenario
@@ -108,11 +108,11 @@ def _check_blocking_wakeup():
 
 def _check_oldest_first():
     core, _ = _space_pair()
-    first = FileEntry("t", 0, "0" * 8 + "-0000-0000-0000-" + "0" * 12, encode_payload(b"1"))
-    second = FileEntry("t", 0, "1" * 8 + "-1111-1111-1111-" + "1" * 12, encode_payload(b"2"))
+    first = ResultEntry("t", 0, "0" * 8 + "-0000-0000-0000-" + "0" * 12, encode_payload(b"1"))
+    second = ResultEntry("t", 0, "1" * 8 + "-1111-1111-1111-" + "1" * 12, encode_payload(b"2"))
     core.write(first)
     core.write(second)
-    tpl = Template("FileEntry", {"case_id": "t"})
+    tpl = Template("ResultEntry", {"case_id": "t"})
     assert core.read(tpl) == first
     assert core.take(tpl) == first
     assert core.take(tpl) == second

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from spacefarm.entries import (
     ConfigurationEntry,
-    FileEntry,
     ResultEntry,
     RowEntry,
     StopEntry,
@@ -25,11 +24,10 @@ from spacefarm.errors import InvalidTemplate, MalformedPayload
 
 def sample_entries():
     return [
-        FileEntry("case-a", 0, new_entry_id(), encode_payload(b"hello")),
         ResultEntry("case-a", 0, new_entry_id(), encode_payload(b"")),
         ConfigurationEntry("case-a", "echo", "1", {"delay_ms": "0"}, 4),
         StopEntry("case-a"),
-        TaskEntry("case-a", 0, 30_000, "echo"),
+        TaskEntry("case-a", 0, 30_000, "echo", encode_payload(b"hello")),
         RowEntry("case-a", "0", 3, ("1", "0.5", "-2.25e-1")),
     ]
 
@@ -66,18 +64,19 @@ def test_entry_id_parse_is_strict_identity():
 
 
 def test_template_matches_on_exact_scalar_equality():
-    entry = FileEntry("case-a", 2, new_entry_id(), encode_payload(b"x"))
-    assert Template("FileEntry").matches(entry)
-    assert Template("FileEntry", {"case_id": "case-a", "part_index": 2}).matches(entry)
-    assert not Template("FileEntry", {"part_index": 3}).matches(entry)
+    entry = ResultEntry("case-a", 2, new_entry_id(), encode_payload(b"x"))
+    assert Template("ResultEntry").matches(entry)
+    assert Template("ResultEntry", {"case_id": "case-a", "part_index": 2}).matches(entry)
+    assert not Template("ResultEntry", {"part_index": 3}).matches(entry)
     assert not Template("StopEntry").matches(entry)
 
 
 def test_a_list_constraint_matches_any_of_its_members():
     template = Template("TaskEntry", {"agent_id": ["bbp-pi", "echo"]})
-    assert template.matches(TaskEntry("case-a", 0, 1_000, "echo"))
-    assert template.matches(TaskEntry("case-a", 0, 1_000, "bbp-pi"))
-    assert not template.matches(TaskEntry("case-a", 0, 1_000, "cholesky-rowblock"))
+    data = encode_payload(b"x")
+    assert template.matches(TaskEntry("case-a", 0, 1_000, "echo", data))
+    assert template.matches(TaskEntry("case-a", 0, 1_000, "bbp-pi", data))
+    assert not template.matches(TaskEntry("case-a", 0, 1_000, "cholesky-rowblock", data))
     assert Template.from_wire(template.to_wire()) == template
 
 
@@ -85,13 +84,13 @@ def test_template_rejects_unknown_kind_and_bulk_fields():
     with pytest.raises(InvalidTemplate):
         Template("Mystery")
     with pytest.raises(InvalidTemplate):
-        Template("FileEntry", {"payload": "AAAA"})
+        Template("TaskEntry", {"payload": "AAAA"})
     with pytest.raises(InvalidTemplate):
         Template("RowEntry", {"values": ()})
 
 
 def test_matchable_fields_exclude_bulk_data():
-    assert "payload" not in matchable_fields("FileEntry")
+    assert "payload" not in matchable_fields("TaskEntry")
     assert matchable_fields("TaskEntry") == {
         "case_id", "part_index", "lease_ms", "agent_id"
     }

@@ -25,7 +25,6 @@ from spacefarm import transactions, wire
 from spacefarm.agents import AgentDescriptor, _REGISTRY, _bbp_py, bbp, cholesky, register
 from spacefarm.client import Session
 from spacefarm.entries import (
-    FileEntry,
     ResultEntry,
     TaskEntry,
     Template,
@@ -43,7 +42,7 @@ from spacefarm.execlog import load_events
 from spacefarm.harness import free_port
 from spacefarm.master import CaseConfig, Master
 from spacefarm.server import SpaceServer
-from spacefarm.worker import CLAIM_WAIT_MS, FaultInjector, _Fault
+from spacefarm.worker import CLAIM_LEASE_MS, CLAIM_WAIT_MS, FaultInjector, _Fault
 
 
 NO_TASKS = {"wait": 0, "on": 0, "computed": 0}
@@ -249,8 +248,7 @@ def test_queue_time_does_not_count_against_the_lease(tmp_path, address):
 def test_task_of_a_finished_case_is_dropped_not_replayed(tmp_path, address, session):
     logs = tmp_path / "logs"
     logs.mkdir()
-    session.write(FileEntry("gone", 0, new_entry_id(), encode_payload(b"x")))
-    session.write(TaskEntry("gone", 0, 1_000, "echo"))
+    session.write(TaskEntry("gone", 0, 1_000, "echo", encode_payload(b"x")))
     with running_workers(address, 1, tmp_path, execlog_dir=logs):
         deadline = time.monotonic() + 10
         while task_counts(session, "gone") != NO_TASKS and time.monotonic() < deadline:
@@ -300,7 +298,9 @@ def test_task_of_a_failed_case_is_dropped_after_its_stop_event(
             with pytest.raises(MaxAttemptsExceeded):
                 Master(config).run()
             stopped_at = len(wait_for_event(logs, "case-stopped"))
-            session.write(TaskEntry("failed-case", 0, 1_000, "fails-every-time"))
+            session.write(
+                TaskEntry("failed-case", 0, 1_000, "fails-every-time", encode_payload(b"x"))
+            )
             deadline = time.monotonic() + 10
             while (
                 task_counts(session, "failed-case") != NO_TASKS
@@ -354,9 +354,9 @@ def test_a_result_too_large_to_send_fails_the_case_not_the_worker(
         return len(wire.encode_frame(wire.request(10**6, "space.write", params))) - 4
 
     payload = encode_payload(blob)
-    # The master's file write and the worker's file take fit; the worker's
+    # The master's task write and the worker's task take fit; the worker's
     # result write does not.
-    feed = body_bytes(FileEntry("too-large", 0, new_entry_id(), payload))
+    feed = body_bytes(TaskEntry("too-large", 0, 1_000, "echo", payload))
     result = body_bytes(
         ResultEntry("too-large", 0, new_entry_id(), payload), txn=new_entry_id()
     )
@@ -388,11 +388,11 @@ def test_a_result_too_large_to_send_fails_the_case_not_the_worker(
         session.close()
 
 
-def test_a_part_costs_three_round_trips_and_one_configuration_read(
+def test_a_part_costs_two_round_trips_and_one_configuration_read(
     tmp_path, monkeypatch
 ):
     """One worker, 16 parts: the master feeds in one batch, and the worker
-    reads the configuration once and spends three batches per part."""
+    reads the configuration once and spends two batches per part."""
     server = SpaceServer(host="127.0.0.1", port=0, record_history=True)
     server.start()
     host, port = server.address
@@ -423,10 +423,9 @@ def test_a_part_costs_three_round_trips_and_one_configuration_read(
     assert len(config_reads) == 1
     feed = ("space.write", "TaskEntry")
     feeds = [kinds for _, kinds, _ in batches if feed in kinds]
-    assert len(feeds) == 1 and feeds[0].count(feed) == 16
+    assert feeds == [[feed] * 16]
     claim = [("txn.renew", None), ("space.take", "TaskEntry")]
-    fetch = [("txn.renew", None), ("space.take", "FileEntry")]
-    first_fetch = [fetch[0], ("space.read", "ConfigurationEntry"), fetch[1]]
+    read_config = [("space.read", "ConfigurationEntry")]
     publish = [
         ("space.write", "ResultEntry"), ("txn.commit", None), ("txn.create", None)
     ]
@@ -437,7 +436,7 @@ def test_a_part_costs_three_round_trips_and_one_configuration_read(
     rest = [kinds for kinds, _ in worker if kinds != claim]
     # Claims that found no task yet, or none after the last part, are idle.
     assert sum(answers[1]["entry"] is not None for answers in claims) == 16
-    assert sorted(rest) == sorted(start + [first_fetch] + [fetch] * 15 + [publish] * 16)
+    assert sorted(rest) == sorted(start + [read_config] + [publish] * 16)
 
 
 def test_a_case_starts_no_thread_per_part(tmp_path, address, monkeypatch):
@@ -466,6 +465,26 @@ def test_the_heartbeat_renews_a_task_that_outlasts_its_lease(tmp_path, address):
         task_lease_ms=300,
         max_attempts=1,
         agent_params={"delay_ms": 900},
+    )
+    report = run_case_with_workers(config, 1, tmp_path)
+    assert report.results == 1
+    assert report.replays == 0
+
+
+def test_the_heartbeat_extends_a_claim_to_the_task_lease_at_once(tmp_path, address):
+    """A claim holds the short claim lease until the heartbeat renews it to
+    the task's lease. That renewal must come at once: a third of this lease
+    is later than the claim lease's end, and the agent outlasts both."""
+    task_lease_ms, delay_ms = 6_000, 2_500
+    assert CLAIM_LEASE_MS < task_lease_ms // 3 < delay_ms
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=b"x",
+        num_parts=1,
+        task_lease_ms=task_lease_ms,
+        max_attempts=1,
+        agent_params={"delay_ms": delay_ms},
     )
     report = run_case_with_workers(config, 1, tmp_path)
     assert report.results == 1

@@ -18,7 +18,7 @@ from spacefarm.client import (
     take_request,
     write_request,
 )
-from spacefarm.entries import StopEntry, Template
+from spacefarm.entries import RowEntry, StopEntry, TaskEntry, Template, encode_payload
 from spacefarm.errors import (
     ConnectionFailed,
     FrameTooLarge,
@@ -294,11 +294,41 @@ def test_subscription_events_arrive(session):
     inbox: queue.Queue = queue.Queue()
     session.subscribe(
         Template("StopEntry", {"case_id": "sub-case"}),
-        lambda seq, entry: inbox.put((seq, entry)),
+        lambda seq, fields: inbox.put((seq, fields)),
     )
     seq = session.write(StopEntry(case_id="sub-case"))
-    got_seq, got_entry = inbox.get(timeout=5)
-    assert got_seq == seq and got_entry == StopEntry(case_id="sub-case")
+    got_seq, got_fields = inbox.get(timeout=5)
+    assert got_seq == seq and got_fields == {"kind": "StopEntry", "case_id": "sub-case"}
+
+
+def test_a_task_event_carries_its_matchable_fields_not_its_payload(session):
+    inbox: queue.Queue = queue.Queue()
+    session.subscribe(
+        Template("TaskEntry", {"case_id": "ev"}), lambda seq, fields: inbox.put(fields)
+    )
+    session.write(TaskEntry("ev", 3, 1_000, "echo", encode_payload(b"part data")))
+    assert inbox.get(timeout=5) == {
+        "kind": "TaskEntry", "case_id": "ev", "part_index": 3,
+        "lease_ms": 1_000, "agent_id": "echo",
+    }
+
+
+def test_a_row_event_carries_no_values(session):
+    inbox: queue.Queue = queue.Queue()
+    session.subscribe(
+        Template("RowEntry", {"case_id": "ev"}), lambda seq, fields: inbox.put(fields)
+    )
+    session.write(RowEntry("ev", "m", 2, ("1", "0.5")))
+    assert inbox.get(timeout=5) == {
+        "kind": "RowEntry", "case_id": "ev", "matrix_id": "m", "row_index": 2,
+    }
+
+
+def test_the_server_turns_nagle_off_on_accepted_sockets(server, session):
+    """A small answer must not wait for the client's delayed ACK of the
+    previous one."""
+    (conn,) = server._conns
+    assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 def test_an_event_is_handled_before_the_response_sent_after_it(session):

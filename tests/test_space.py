@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import FakeClock
-from spacefarm.entries import FileEntry, StopEntry, Template, encode_payload
+from spacefarm.entries import ResultEntry, StopEntry, TaskEntry, Template, encode_payload
 from spacefarm.errors import TxnNotOpen
 from spacefarm.space import SpaceCore
 from spacefarm.transactions import TxnManager
@@ -40,11 +40,11 @@ def test_write_read_take_basics():
 
 def test_oldest_first_tie_break():
     core, _ = make_pair()
-    first = FileEntry("a", 0, "0" * 8 + "-0000-0000-0000-" + "0" * 12, encode_payload(b"1"))
-    second = FileEntry("a", 0, "1" * 8 + "-1111-1111-1111-" + "1" * 12, encode_payload(b"2"))
+    first = ResultEntry("a", 0, "0" * 8 + "-0000-0000-0000-" + "0" * 12, encode_payload(b"1"))
+    second = ResultEntry("a", 0, "1" * 8 + "-1111-1111-1111-" + "1" * 12, encode_payload(b"2"))
     core.write(first)
     core.write(second)
-    template = Template("FileEntry", {"case_id": "a"})
+    template = Template("ResultEntry", {"case_id": "a"})
     assert core.read(template) == first
     assert core.take(template) == first
     assert core.take(template) == second
@@ -214,6 +214,15 @@ def test_txn_scoped_subscription_sees_own_writes():
     core.subscribe(tmpl("a"), lambda sub, seq, entry: seen.append(entry), txn=txn)
     core.write(stop("a"), txn=txn)
     assert seen == [stop("a")]
+
+
+def test_an_in_process_subscription_gets_the_whole_entry():
+    core, _ = make_pair()
+    seen = []
+    core.subscribe(Template("TaskEntry"), lambda sub, seq, entry: seen.append(entry))
+    task = TaskEntry("a", 0, 1_000, "echo", encode_payload(b"part"))
+    core.write(task)
+    assert seen == [task]
 
 
 def test_unsubscribe_stops_delivery():
