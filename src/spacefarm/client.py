@@ -68,14 +68,10 @@ class Request(NamedTuple):
     decode: Callable[[dict[str, Any]], Any]
 
 
-def write_request(
-    entry: Entry, txn: str | None = None, lease_ms: int | None = None
-) -> Request:
+def write_request(entry: Entry, txn: str | None = None) -> Request:
     params: dict[str, Any] = {"entry": entry_to_wire(entry)}
     if txn is not None:
         params["txn"] = txn
-    if lease_ms is not None:
-        params["lease_ms"] = lease_ms
     return Request("space.write", params, lambda result: result["seq"])
 
 
@@ -271,10 +267,8 @@ class Session:
     def _one(self, request: Request) -> Any:
         return request.decode(self.call(request.op, request.params))
 
-    def write(
-        self, entry: Entry, txn: str | None = None, lease_ms: int | None = None
-    ) -> int:
-        return self._one(write_request(entry, txn, lease_ms))
+    def write(self, entry: Entry, txn: str | None = None) -> int:
+        return self._one(write_request(entry, txn))
 
     def read(
         self, template: Template, txn: str | None = None, timeout_ms: int | None = 0
@@ -287,18 +281,16 @@ class Session:
         return self._one(take_request(template, txn, timeout_ms))
 
     def subscribe(
-        self,
-        template: Template,
-        callback: Callable[[int, dict[str, Any]], None],
-        txn: str | None = None,
+        self, template: Template, callback: Callable[[int, dict[str, Any]], None]
     ) -> str:
-        """Call `callback(seq, fields)` for each entry that becomes visible
-        and matches; `fields` holds the entry's kind and matchable fields."""
+        """Call `callback(seq, fields)` for each entry that becomes globally
+        visible and matches; `fields` holds the entry's kind and matchable
+        fields."""
 
         def on_event(payload: dict[str, Any]) -> None:
             callback(payload["seq"], payload["fields"])
 
-        params = {"template": template.to_wire(), "txn": txn}
+        params = {"template": template.to_wire()}
         (result,) = unwrap(self._exchange([("space.subscribe", params)], on_event))
         return result["subscription_id"]
 

@@ -59,12 +59,9 @@ class SpaceServer:
         port: int = wire.DEFAULT_PORT,
         txn_sweep_ms: int = 100,
         record_history: bool = False,
-        clock=time.monotonic,
     ) -> None:
-        lock = threading.RLock()
-        self.space = SpaceCore(lock=lock, clock=clock, record_history=record_history)
-        self.txns = TxnManager(self.space, lock=lock, clock=clock)
-        self.space.set_txn_checker(self.txns.is_open)
+        self.space = SpaceCore(record_history=record_history)
+        self.txns = TxnManager(self.space)
         self._sweep_s = txn_sweep_ms / 1000.0
         self._bind = (host, port)
         self._listener: socket.socket | None = None
@@ -280,8 +277,7 @@ class SpaceServer:
 
     def _op_space_write(self, conn: _Conn, params: dict[str, Any]) -> Any:
         entry = entry_from_wire(params["entry"])
-        txn, lease_ms = params.get("txn"), params.get("lease_ms")
-        return {"seq": self.space.write(entry, txn=txn, lease_ms=lease_ms)}
+        return {"seq": self.space.write(entry, txn=params.get("txn"))}
 
     def _lookup(
         self, conn: _Conn, req_id: Any, params: dict[str, Any], for_take: bool
@@ -319,7 +315,7 @@ class SpaceServer:
             event = {"seq": seq, "fields": event_fields(entry)}
             self._push(conn, wire.event(sub_id, event))
 
-        sub_id = self.space.subscribe(template, deliver, txn=params.get("txn"))
+        sub_id = self.space.subscribe(template, deliver)
         conn.subs.append(sub_id)
         return {"subscription_id": sub_id}
 

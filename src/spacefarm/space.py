@@ -1,5 +1,9 @@
-"""In-memory shared object space: write/read/take, parked lookups, leases,
-event subscriptions, and transactional visibility.
+"""In-memory shared object space: write/read/take, parked lookups, event
+subscriptions, and transactional visibility.
+
+An entry has no lease of its own: it ends only when a take removes it or
+with the transaction that wrote or took it.  A transaction's lease is the
+only clock, and the TxnManager keeps it; the space reads no time.
 
 All operations on one SpaceCore are serialized under a single lock, so every
 operation takes effect atomically at one point in a total order (the space's
@@ -8,8 +12,10 @@ linearization order).
 A read or take that finds nothing and may wait becomes a waiter: its
 template, scope, kind and a callback, kept in registration order.  Whenever
 an entry becomes visible (a write, a commit's promotion, an abort's restore)
-it goes to the subscriptions and then to the waiters, oldest first: a read
-waiter is answered and the entry passes on, a take waiter consumes it.  When
+it goes to the waiters that can see it, oldest first: a read waiter is
+answered and the entry passes on, a take waiter consumes it.  Subscriptions
+hear an entry only when it becomes globally visible, before the waiters do,
+so a write under a transaction reaches only waiters until it commits.  When
 a transaction ends, its waiters are answered with TxnNotOpen.  The server
 parks a lookup this way and fires its deadline itself; an in-process caller
 blocks on an Event that the callback sets.
@@ -31,14 +37,11 @@ must only enqueue, never block or re-enter the space.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .entries import Entry, Template, entry_to_wire, new_entry_id
 from .errors import TxnNotOpen
-
-FOREVER = None
 
 _GLOBAL = "global"
 _WRITTEN = "written"
@@ -49,7 +52,6 @@ _TAKEN = "taken"
 class StoredEntry:
     entry: Entry
     seq: int
-    lease_deadline: float | None = FOREVER
     vis: str = _GLOBAL
     txn: str | None = None  # owning transaction when vis != global
 
@@ -58,7 +60,6 @@ class StoredEntry:
 class Subscription:
     sub_id: str
     template: Template
-    scope: str | None
     callback: Callable[[str, int, Entry], None]
 
 
@@ -78,20 +79,13 @@ class Waiter:
 
 
 class SpaceCore:
-    """The space state machine.  Thread-safe; shareable with a TxnManager
-    through a common lock so transaction checks and applies are atomic with
-    entry operations."""
+    """The space state machine.  Thread-safe.  A TxnManager built on it
+    shares its `lock` and installs its transaction check, so checks and
+    applies are atomic with entry operations."""
 
-    def __init__(
-        self,
-        lock: threading.RLock | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        txn_checker: Callable[[str], bool] | None = None,
-        record_history: bool = False,
-    ) -> None:
-        self._lock = lock if lock is not None else threading.RLock()
-        self._clock = clock
-        self._txn_checker = txn_checker
+    def __init__(self, record_history: bool = False) -> None:
+        self.lock = threading.RLock()
+        self.txn_is_open: Callable[[str], bool] | None = None
         self._entries: dict[int, StoredEntry] = {}  # insertion == seq order
         self._seq = 0
         self._subs: dict[str, Subscription] = {}
@@ -99,17 +93,12 @@ class SpaceCore:
         self._order = 0
         self.history: list[dict[str, Any]] | None = [] if record_history else None
 
-    # -- configuration hooks -------------------------------------------------
-
-    def set_txn_checker(self, checker: Callable[[str], bool]) -> None:
-        self._txn_checker = checker
-
     # -- internal helpers (lock held) ----------------------------------------
 
     def _check_txn(self, txn: str | None) -> None:
         if txn is None:
             return
-        if self._txn_checker is not None and not self._txn_checker(txn):
+        if self.txn_is_open is not None and not self.txn_is_open(txn):
             raise TxnNotOpen(f"transaction not open: {txn}")
 
     def _record(self, row: dict[str, Any]) -> None:
@@ -117,17 +106,6 @@ class SpaceCore:
             self._order += 1
             row["order"] = self._order
             self.history.append(row)
-
-    def _purge_expired(self) -> None:
-        now = self._clock()
-        dead = [
-            seq
-            for seq, st in self._entries.items()
-            if st.lease_deadline is not FOREVER and st.lease_deadline <= now
-        ]
-        for seq in dead:
-            del self._entries[seq]
-            self._record({"op": "purge", "seq": seq})
 
     def _wants(self, lookup: Waiter, st: StoredEntry) -> bool:
         if st.vis != _GLOBAL:
@@ -145,12 +123,10 @@ class SpaceCore:
                 return st
         return None
 
-    def _fire(self, st: StoredEntry, scope: str | None) -> None:
-        """Deliver an entry that just became visible to `scope` (None=global)
-        to the subscriptions, then offer it to the waiters."""
+    def _fire(self, st: StoredEntry) -> None:
+        """Deliver an entry that just became globally visible to the
+        subscriptions, then offer it to the waiters."""
         for sub in self._subs.values():
-            if scope is not None and sub.scope != scope:
-                continue
             if sub.template.matches(st.entry):
                 sub.callback(sub.sub_id, st.seq, st.entry)
         self._offer(st)
@@ -180,31 +156,25 @@ class SpaceCore:
 
     # -- operations -----------------------------------------------------------
 
-    def write(
-        self,
-        entry: Entry,
-        txn: str | None = None,
-        lease_ms: int | None = None,
-    ) -> int:
+    def write(self, entry: Entry, txn: str | None = None) -> int:
         """Store an entry; returns its space sequence number.
 
         With a transaction the entry stays scoped to it until commit; without
         one it is globally visible immediately.
         """
-        with self._lock:
+        with self.lock:
             self._check_txn(txn)
-            self._purge_expired()
             self._seq += 1
-            deadline = (
-                FOREVER if lease_ms is None else self._clock() + lease_ms / 1000.0
-            )
             vis = _GLOBAL if txn is None else _WRITTEN
-            st = StoredEntry(entry, self._seq, deadline, vis, txn)
+            st = StoredEntry(entry, self._seq, vis, txn)
             self._entries[st.seq] = st
             if self.history is not None:
                 row = {"op": "write", "seq": st.seq, "txn": txn}
                 self._record({**row, "entry": entry_to_wire(entry)})
-            self._fire(st, scope=txn)
+            if txn is None:
+                self._fire(st)
+            else:
+                self._offer(st)
             return st.seq
 
     def read(
@@ -231,9 +201,8 @@ class SpaceCore:
         """Answer at once, or park the lookup as a waiter.  With `on_answer`
         the Waiter is returned and the caller fires its deadline (`expire`);
         without it the caller blocks here for at most `timeout_ms`."""
-        with self._lock:
+        with self.lock:
             self._check_txn(lookup.scope)
-            self._purge_expired()
             st = self._select(lookup)
             if st is not None:
                 entry = self._hand_over(st, lookup)
@@ -255,7 +224,7 @@ class SpaceCore:
 
             lookup.callback = answer
         done.wait(None if timeout_ms is None else timeout_ms / 1000.0)
-        with self._lock:
+        with self.lock:
             if not answered:
                 self.expire(lookup)
                 return None
@@ -267,7 +236,7 @@ class SpaceCore:
     def expire(self, waiter: Waiter) -> bool:
         """End a parked lookup whose timeout passed, as a miss.  False if it
         was answered first."""
-        with self._lock:
+        with self.lock:
             if not self._waiters.pop(waiter, False):
                 return False
             self._record_lookup(waiter, None)
@@ -276,7 +245,7 @@ class SpaceCore:
     def discard(self, owner: Any) -> None:
         """Drop the owner's parked lookups (its client went away); they
         consume nothing and leave no record."""
-        with self._lock:
+        with self.lock:
             for waiter in [w for w in self._waiters if w.owner is owner]:
                 del self._waiters[waiter]
 
@@ -291,23 +260,22 @@ class SpaceCore:
             st.txn = txn
 
     def subscribe(
-        self,
-        template: Template,
-        callback: Callable[[str, int, Entry], None],
-        txn: str | None = None,
+        self, template: Template, callback: Callable[[str, int, Entry], None]
     ) -> str:
-        """Register for entries that become visible to the scope and match.
+        """Register for entries that match as they become globally visible:
+        a global write, a commit's promotion or an abort's restore.  A write
+        under a transaction is heard only when that transaction commits.
 
         Delivery is at-least-once in space order; the callback runs under the
         space lock and must only enqueue.
         """
-        with self._lock:
+        with self.lock:
             sub_id = new_entry_id()
-            self._subs[sub_id] = Subscription(sub_id, template, txn, callback)
+            self._subs[sub_id] = Subscription(sub_id, template, callback)
             return sub_id
 
     def unsubscribe(self, sub_id: str) -> None:
-        with self._lock:
+        with self.lock:
             self._subs.pop(sub_id, None)
 
     # -- transaction participant interface ------------------------------------
@@ -323,7 +291,7 @@ class SpaceCore:
     def _end_txn(self, txn: str, op: str, kept_key: str, keep: str) -> None:
         """Make the transaction's `keep` entries global, delete the rest of
         its entries, and answer its waiters with TxnNotOpen."""
-        with self._lock:
+        with self.lock:
             for waiter in [w for w in self._waiters if w.scope == txn]:
                 del self._waiters[waiter]
                 waiter.callback(None, TxnNotOpen(f"transaction not open: {txn}"))
@@ -341,15 +309,14 @@ class SpaceCore:
             kept = [st.seq for st in survivors]
             self._record({"op": op, "txn": txn, kept_key: kept, "deleted": deleted})
             for st in survivors:
-                self._fire(st, scope=None)
+                self._fire(st)
 
     # -- introspection ---------------------------------------------------------
 
     def count(self, template: Template) -> tuple[int, int]:
         """Matching entries as (globally visible, held taken by an open
         transaction)."""
-        with self._lock:
-            self._purge_expired()
+        with self.lock:
             visible = held = 0
             for st in self._entries.values():
                 if template.matches(st.entry):
@@ -357,21 +324,13 @@ class SpaceCore:
                     held += st.vis == _TAKEN
             return visible, held
 
-    def visible_entries(self, template: Template | None = None) -> list[Entry]:
-        """Globally visible entries, oldest first."""
-        with self._lock:
-            self._purge_expired()
-            visible = [st.entry for st in self._entries.values() if st.vis == _GLOBAL]
-            return [e for e in visible if template is None or template.matches(e)]
-
     def snapshot(self) -> list[tuple[int, str, str | None, Entry]]:
         """Full internal state (seq, visibility, txn, entry) for tests."""
-        with self._lock:
+        with self.lock:
             return [(s.seq, s.vis, s.txn, s.entry) for s in self._entries.values()]
 
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            self._purge_expired()
+        with self.lock:
             visible = sum(1 for st in self._entries.values() if st.vis == _GLOBAL)
             return {
                 "entries": visible,

@@ -6,10 +6,11 @@ both.  Expiry is the failure detector of the whole architecture: a worker that
 stops renewing its task transaction is presumed dead, and the abort puts the
 task it took back in the bag, which is the replay.
 
-The manager shares one lock with the space so a transaction check and the
-operation it guards are a single atomic step.  The only participant is the
-in-process space, so commit applies in one step: there is no prepare phase
-and no participant that can be unreachable.
+The manager takes the space's lock and installs its own `is_open` as the
+space's transaction check, so a check and the operation it guards are a
+single atomic step.  Its leases are the only clock: the space reads no time.
+The only participant is the in-process space, so commit applies in one step:
+there is no prepare phase and no participant that can be unreachable.
 
 A finished transaction keeps its record only while it is among the newest
 TERMINAL_RECORDS finished ones, so a server that runs for days holds a
@@ -20,13 +21,13 @@ one answers UNKNOWN_TXN, which callers treat the same way.
 from __future__ import annotations
 
 import collections
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from .entries import new_entry_id
 from .errors import TxnNotOpen, UnknownTxn
+from .space import SpaceCore
 
 OPEN = "OPEN"
 COMMITTED = "COMMITTED"
@@ -46,13 +47,11 @@ class TxnRecord:
 
 class TxnManager:
     def __init__(
-        self,
-        participant,
-        lock: threading.RLock | None = None,
-        clock: Callable[[], float] = time.monotonic,
+        self, space: SpaceCore, clock: Callable[[], float] = time.monotonic
     ) -> None:
-        self._participant = participant
-        self._lock = lock if lock is not None else threading.RLock()
+        self._space = space
+        self._lock = space.lock
+        space.txn_is_open = self.is_open
         self._clock = clock
         self._records: dict[str, TxnRecord] = {}
         self._finished: collections.deque[str] = collections.deque()  # oldest first
@@ -83,7 +82,7 @@ class TxnManager:
     def commit(self, txn_id: str) -> None:
         with self._lock:
             rec = self._open_record(txn_id)
-            self._participant.commit_apply(txn_id)
+            self._space.commit_apply(txn_id)
             self._finish(rec, COMMITTED)
 
     def abort(self, txn_id: str) -> None:
@@ -93,7 +92,7 @@ class TxnManager:
 
     def _finish_abort(self, rec: TxnRecord) -> None:
         self._finish(rec, ABORTED)
-        self._participant.abort_apply(rec.txn_id)
+        self._space.abort_apply(rec.txn_id)
 
     def _finish(self, rec: TxnRecord, state: str) -> None:
         rec.state = state

@@ -87,8 +87,6 @@ def replay(history: list[dict]) -> dict:
                 entries[seq][2] = None
             for seq in model_gone:
                 del entries[seq]
-        elif op == "purge":
-            entries.pop(row["seq"], None)
         else:
             raise ModelMismatch(f"unknown history op {op!r}")
     return entries
@@ -102,10 +100,8 @@ def run_stress(
     With `wait_ms` every lookup may park for up to that long, so other
     threads' writes, commits and aborts answer it.
     """
-    lock = threading.RLock()
-    core = SpaceCore(lock=lock, record_history=True)
-    txns = TxnManager(core, lock=lock)
-    core.set_txn_checker(txns.is_open)
+    core = SpaceCore(record_history=True)
+    txns = TxnManager(core)
     found: list[object] = []  # every entry a lookup returned
 
     def actor(tid: int) -> None:

@@ -45,11 +45,8 @@ def verdict(number: int, label: str, passed: bool, detail: str = "") -> None:
 
 
 def _space_pair():
-    lock = threading.RLock()
-    core = SpaceCore(lock=lock)
-    txns = TxnManager(core, lock=lock)
-    core.set_txn_checker(txns.is_open)
-    return core, txns
+    core = SpaceCore()
+    return core, TxnManager(core)
 
 
 def _check_visibility():

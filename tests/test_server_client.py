@@ -375,11 +375,13 @@ def test_admin_status_reports_counts(session):
     session.txn_abort(txn)
 
 
-def test_wrong_hello_is_refused(server):
+# spacefarm/1 still had entry leases and transaction-scoped subscriptions.
+@pytest.mark.parametrize("hello", ["otherproto/9", "spacefarm/1"])
+def test_wrong_hello_is_refused(server, hello):
     host, port = server.address
     sock = socket.create_connection((host, port), timeout=5)
     try:
-        wire.send_frame(sock, {"hello": "otherproto/9"})
+        wire.send_frame(sock, {"hello": hello})
         reply = wire.read_frame(sock)
         assert reply["error"]["code"] == "PROTOCOL_MISMATCH"
         with pytest.raises(SessionClosed):

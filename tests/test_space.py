@@ -1,23 +1,19 @@
-"""Space semantics: visibility, blocking, leases, tie-breaks, events."""
+"""Space semantics: visibility, blocking, tie-breaks, events."""
 
 import threading
 import time
 
 import pytest
 
-from conftest import FakeClock
 from spacefarm.entries import ResultEntry, StopEntry, TaskEntry, Template, encode_payload
 from spacefarm.errors import TxnNotOpen
 from spacefarm.space import SpaceCore
 from spacefarm.transactions import TxnManager
 
 
-def make_pair(clock=None):
-    lock = threading.RLock()
-    core = SpaceCore(lock=lock, clock=clock or time.monotonic)
-    txns = TxnManager(core, lock=lock, clock=clock or time.monotonic)
-    core.set_txn_checker(txns.is_open)
-    return core, txns
+def make_pair():
+    core = SpaceCore()
+    return core, TxnManager(core)
 
 
 def stop(case: str) -> StopEntry:
@@ -70,16 +66,6 @@ def test_blocking_take_times_out():
     started = time.monotonic()
     assert core.take(tmpl("a"), timeout_ms=120) is None
     assert time.monotonic() - started >= 0.1
-
-
-def test_lease_expiry_purges_entry():
-    clock = FakeClock()
-    core, _ = make_pair(clock)
-    core.write(stop("a"), lease_ms=500)
-    assert core.read(tmpl("a")) is not None
-    clock.advance(0.6)
-    assert core.read(tmpl("a")) is None
-    assert core.stats()["stored"] == 0
 
 
 def test_write_under_txn_invisible_until_commit():
@@ -207,13 +193,43 @@ def test_subscription_fires_on_restore():
     assert len(seen) == 1  # restored entry announced again
 
 
-def test_txn_scoped_subscription_sees_own_writes():
+def test_a_write_under_a_txn_answers_its_waiters_and_is_heard_on_commit():
     core, txns = make_pair()
     txn = txns.create(10_000)
-    seen = []
-    core.subscribe(tmpl("a"), lambda sub, seq, entry: seen.append(entry), txn=txn)
-    core.write(stop("a"), txn=txn)
-    assert seen == [stop("a")]
+    heard = []
+    core.subscribe(tmpl("a"), lambda sub, seq, entry: heard.append(seq))
+    inside, outside = [], []
+    parked_inside = threading.Thread(
+        target=lambda: inside.append(core.read(tmpl("a"), txn=txn, timeout_ms=5_000)),
+        daemon=True,
+    )
+    parked_outside = threading.Thread(
+        target=lambda: outside.append(core.read(tmpl("a"), timeout_ms=5_000)),
+        daemon=True,
+    )
+    parked_inside.start()
+    parked_outside.start()
+    deadline = time.monotonic() + 5
+    while core.stats()["waiters"] < 2 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert core.stats()["waiters"] == 2
+
+    seqs = []
+    writer = threading.Thread(
+        target=lambda: seqs.append(core.write(stop("a"), txn=txn)), daemon=True
+    )
+    writer.start()
+    writer.join(timeout=5)
+    parked_inside.join(timeout=5)
+    assert inside == [stop("a")]
+    assert outside == [] and heard == []
+    assert core.stats()["waiters"] == 1  # the global read is still parked
+
+    txns.commit(txn)
+    parked_outside.join(timeout=5)
+    assert outside == [stop("a")]
+    assert core.read(tmpl("a")) == stop("a")  # the reads consumed nothing
+    assert heard == seqs
 
 
 def test_an_in_process_subscription_gets_the_whole_entry():
@@ -241,7 +257,8 @@ def test_count_and_visible_entries():
     txn = txns.create(10_000)
     core.write(stop("a"), txn=txn)
     assert core.count(tmpl("a")) == (2, 0)
-    assert core.visible_entries(tmpl("a")) == [stop("a"), stop("a")]
+    visible = [entry for _, vis, _, entry in core.snapshot() if vis == "global"]
+    assert visible == [stop("a"), stop("a")]
     stats = core.stats()
     assert stats["entries"] == 2 and stats["stored"] == 3
     holder = txns.create(10_000)

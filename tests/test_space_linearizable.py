@@ -1,7 +1,6 @@
 """Replay recorded space histories against the sequential reference model."""
 
 import sys
-import threading
 
 import pytest
 
@@ -12,11 +11,8 @@ from spacefarm.transactions import TxnManager
 
 
 def make_recorded():
-    lock = threading.RLock()
-    core = SpaceCore(lock=lock, record_history=True)
-    txns = TxnManager(core, lock=lock)
-    core.set_txn_checker(txns.is_open)
-    return core, txns
+    core = SpaceCore(record_history=True)
+    return core, TxnManager(core)
 
 
 def test_replay_accepts_a_correct_sequential_history():

@@ -1,7 +1,5 @@
 """Transaction lifecycle and lease expiry sweeps."""
 
-import threading
-
 import pytest
 
 from conftest import FakeClock
@@ -19,11 +17,8 @@ from spacefarm.transactions import (
 
 
 def make_pair(clock):
-    lock = threading.RLock()
-    core = SpaceCore(lock=lock, clock=clock)
-    txns = TxnManager(core, lock=lock, clock=clock)
-    core.set_txn_checker(txns.is_open)
-    return core, txns
+    core = SpaceCore()
+    return core, TxnManager(core, clock=clock)
 
 
 def test_lifecycle_and_status(fake_clock):
