@@ -93,11 +93,6 @@ def create_request(lease_ms: int) -> Request:
     return Request("txn.create", {"lease_ms": lease_ms}, lambda result: result["txn_id"])
 
 
-def renew_request(txn_id: str, lease_ms: int) -> Request:
-    params = {"txn_id": txn_id, "lease_ms": lease_ms}
-    return Request("txn.renew", params, lambda result: None)
-
-
 def commit_request(txn_id: str) -> Request:
     return Request("txn.commit", {"txn_id": txn_id}, lambda result: None)
 
@@ -298,7 +293,7 @@ class Session:
         return self._one(create_request(lease_ms))
 
     def txn_renew(self, txn_id: str, lease_ms: int) -> None:
-        self._one(renew_request(txn_id, lease_ms))
+        self.call("txn.renew", {"txn_id": txn_id, "lease_ms": lease_ms})
 
     def txn_commit(self, txn_id: str) -> None:
         self._one(commit_request(txn_id))

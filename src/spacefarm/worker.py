@@ -1,16 +1,16 @@
 """Worker runtime: claim a task, run the agent, publish the result.
 
 The worker owns each task transaction T and handles a part in two round
-trips, each one pipelined batch on its session:
+trips on its session:
 
-1. The claim: renew T, then take the oldest TaskEntry under T, blocking.
-   No case is named, so the take is the mutual exclusion, the wake-up and a
-   fair queue across cases at once. A worker with an allow list constrains
-   the take to its agents, so it never claims a task it would refuse. The
-   task carries the part's data.
-2. Write the ResultEntry under T, commit T, and open the transaction for
-   the next claim. The commit consumes the task and publishes the result in
-   one step.
+1. The claim: take the oldest TaskEntry under T with no deadline. No case
+   is named, so the take is the mutual exclusion, the wake-up and a fair
+   queue across cases at once. A worker with an allow list constrains the
+   take to its agents, so it never claims a task it would refuse. The task
+   carries the part's data.
+2. One pipelined batch: write the ResultEntry under T, commit T, and open
+   the transaction for the next claim. The commit consumes the task and
+   publishes the result in one step.
 
 Every frame of a batch is encoded before any is sent, so a commit never
 leaves without its write. A result too large to send abandons the attempt.
@@ -24,13 +24,13 @@ A worker has one session. Its agents read and write the space through it
 too: an agent's blocking read parks in the server as a waiter, so the
 heartbeat's renewals on the same session still go through.
 
-One heartbeat thread per session renews the held T to the task's lease as
-soon as the worker claims it, off the worker's path, and then every third
-of the lease, so a dead worker is detected by expiry. Any abort, by expiry,
-by the worker itself or by an injected fault, restores the task, and the
-next free worker claims it again. An idle worker keeps one claim
-transaction across empty claims and renews it with each claim, so waiting
-for work opens no transactions.
+One heartbeat thread per session is the only renewer of T: at
+CLAIM_LEASE_MS while the take waits, then at the task's lease, every third
+of the lease T last got, so a dead worker is detected by expiry. Any abort,
+by expiry, by the worker itself or by an injected fault, restores the task,
+and the next free worker claims it again. A stop aborts a waiting claim's
+T, which answers the take at once; a worker that holds a task finishes or
+abandons it first.
 
 Fault injection for the test harness is compiled in but dormant: the
 SPACEFARM_FAULT environment variable arms hooks at fixed phases of
@@ -42,6 +42,7 @@ so an abort there voids the result write.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import queue
@@ -57,8 +58,6 @@ from .client import (
     WireSpaceHandle,
     commit_request,
     create_request,
-    renew_request,
-    take_request,
     unwrap,
     write_request,
 )
@@ -96,10 +95,8 @@ FAULT_PHASES = (
 FAULT_ACTIONS = ("kill", "pause", "abort-txn")
 KILL_EXIT_CODE = 17
 
-CLAIM_WAIT_MS = 800
-# Outlasts one claim wait with room to spare, so the claim transaction is
-# still open when the worker renews it at the task's lease.
-CLAIM_LEASE_MS = 2 * CLAIM_WAIT_MS
+# A claimed task lives on this lease until the heartbeat's first renewal.
+CLAIM_LEASE_MS = 1600
 
 
 @dataclass
@@ -162,58 +159,50 @@ class FaultInjector:
 
 
 class _Heartbeat:
-    """One thread per worker session: renews the task transaction the worker
-    holds at once and then every third of its lease, and notes a renewal that
+    """One thread per worker session: renews the transaction the worker
+    holds every third of the lease it last got, and notes a renewal that
     failed."""
 
     def __init__(self, session: Session) -> None:
         self._session = session
         self._changed = threading.Condition()
         self._held: tuple[str, int] | None = None
+        self._due = 0.0
         self._lost: str | None = None
         self._closed = False
         threading.Thread(target=self._run, name="task-heartbeat", daemon=True).start()
 
     def hold(self, txn: str, lease_ms: int) -> None:
-        self._set((txn, lease_ms))
-
-    def release(self) -> None:
-        self._set(None)
+        """A new transaction was just opened at `lease_ms`; the same one at a
+        new lease keeps the time of its next renewal."""
+        with self._changed:
+            if self._held is None or self._held[0] != txn:
+                self._due = time.monotonic() + lease_ms / 3000.0
+                self._changed.notify()
+            self._held = (txn, lease_ms)
 
     def lost(self, txn: str) -> bool:
         return self._lost == txn
 
     def close(self) -> None:
-        self._closed = True
-        self.release()
-
-    def _set(self, held: tuple[str, int] | None) -> None:
         with self._changed:
-            self._held = held
+            self._closed = True
             self._changed.notify()
 
     def _run(self) -> None:
-        held = None
-        while True:
-            with self._changed:
-                if self._held is held:
-                    period = None if held is None else max(held[1] / 3000.0, 0.05)
-                    self._changed.wait_for(
-                        lambda: self._closed or self._held is not held, period
-                    )
-                if self._closed:
-                    return
-                held = self._held
-            if held is None:
-                continue
-            txn, lease_ms = held
-            try:
-                self._session.txn_renew(txn, lease_ms)
-            except SpacefarmError:
-                self._lost = txn
-                with self._changed:
-                    if self._held is held:
-                        self._held = None
+        # Renewing under the lock, a hold() waits out at most one round trip.
+        with self._changed:
+            while not self._closed:
+                wait = None if self._held is None else self._due - time.monotonic()
+                if wait is None or wait > 0:
+                    self._changed.wait(wait)
+                    continue
+                txn, lease_ms = self._held
+                self._due = time.monotonic() + lease_ms / 3000.0
+                try:
+                    self._session.txn_renew(txn, lease_ms)
+                except SpacefarmError:
+                    self._lost, self._held = txn, None
 
 
 class Worker:
@@ -239,12 +228,17 @@ class Worker:
         # cannot be cached after the event was handled.
         self._cases: dict[str, tuple[ConfigurationEntry, AgentDescriptor]] = {}
         self._stopped: queue.SimpleQueue[str] = queue.SimpleQueue()
+        # The session and T of the waiting claim, which a stop aborts.
+        self._parked: tuple[Session, str] | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
     def run(self, stop: threading.Event | None = None) -> None:
         stop = stop if stop is not None else threading.Event()
         self._reset_scratch()
+        threading.Thread(
+            target=self._abort_claim_on, args=(stop,), name="worker-stop", daemon=True
+        ).start()
         backoff = 0.5
         while not stop.is_set():
             try:
@@ -277,21 +271,33 @@ class Worker:
             while not stop.is_set():
                 if txn is None:
                     txn = session.txn_create(CLAIM_LEASE_MS)
-                _, task = session.batch([
-                    renew_request(txn, CLAIM_LEASE_MS),
-                    take_request(self._claim, txn, CLAIM_WAIT_MS),
-                ])
-                if isinstance(task, (TxnNotOpen, UnknownTxn)):
-                    txn = None  # the claim transaction expired; open another
-                elif isinstance(task, SpacefarmError):
-                    raise task
-                elif task is not None:
-                    try:
-                        txn = self._execute(session, heartbeat, task, txn)
-                    finally:
-                        heartbeat.release()
+                heartbeat.hold(txn, CLAIM_LEASE_MS)
+                self._parked = (session, txn)
+                try:
+                    if stop.is_set():
+                        break  # set before the claim was parked
+                    task = session.take(self._claim, txn, timeout_ms=None)
+                except (TxnNotOpen, UnknownTxn):
+                    txn = None  # expired, or aborted by a stop
+                    continue
+                finally:
+                    self._parked = None
+                if stop.is_set():
+                    break  # a stop may be aborting T already
+                txn = self._execute(session, heartbeat, task, txn)
+            if txn is not None:
+                # Abort an unused claim, or put back a task claimed as the stop came.
+                with contextlib.suppress(SpacefarmError):
+                    session.txn_abort(txn)
         finally:
             heartbeat.close()
+
+    def _abort_claim_on(self, stop: threading.Event) -> None:
+        stop.wait()
+        parked = self._parked
+        if parked is not None:
+            with contextlib.suppress(SpacefarmError):
+                parked[0].txn_abort(parked[1])
 
     def _on_stop_event(self, seq: int, fields: dict) -> None:
         self._stopped.put(fields["case_id"])
@@ -312,8 +318,7 @@ class Worker:
             "after-claim", self.execlog, session, txn,
             worker_id=self.worker_id, part_index=task.part_index,
         )
-        # T was opened with the short claim lease; the heartbeat renews it to
-        # the task's lease now, beside the work below.
+        # The heartbeat's next renewal extends T to the task's lease.
         heartbeat.hold(txn, task.lease_ms)
         while not self._stopped.empty():
             self._cases.pop(self._stopped.get(), None)

@@ -37,12 +37,13 @@ from spacefarm.errors import (
     ConnectionFailed,
     CutFailed,
     MaxAttemptsExceeded,
+    TxnNotOpen,
 )
 from spacefarm.execlog import load_events
 from spacefarm.harness import free_port
 from spacefarm.master import CaseConfig, Master
 from spacefarm.server import SpaceServer
-from spacefarm.worker import CLAIM_LEASE_MS, CLAIM_WAIT_MS, FaultInjector, _Fault
+from spacefarm.worker import CLAIM_LEASE_MS, FaultInjector, _Fault
 
 
 NO_TASKS = {"wait": 0, "on": 0, "computed": 0}
@@ -392,7 +393,8 @@ def test_a_part_costs_two_round_trips_and_one_configuration_read(
     tmp_path, monkeypatch
 ):
     """One worker, 16 parts: the master feeds in one batch, and the worker
-    reads the configuration once and spends two batches per part."""
+    reads the configuration once and spends two round trips per part: one
+    take of a TaskEntry and one publish batch."""
     server = SpaceServer(host="127.0.0.1", port=0, record_history=True)
     server.start()
     host, port = server.address
@@ -424,7 +426,7 @@ def test_a_part_costs_two_round_trips_and_one_configuration_read(
     feed = ("space.write", "TaskEntry")
     feeds = [kinds for _, kinds, _ in batches if feed in kinds]
     assert feeds == [[feed] * 16]
-    claim = [("txn.renew", None), ("space.take", "TaskEntry")]
+    claim = [("space.take", "TaskEntry")]
     read_config = [("space.read", "ConfigurationEntry")]
     publish = [
         ("space.write", "ResultEntry"), ("txn.commit", None), ("txn.create", None)
@@ -434,8 +436,15 @@ def test_a_part_costs_two_round_trips_and_one_configuration_read(
               if name == "test-worker-0"]
     claims = [answers for kinds, answers in worker if kinds == claim]
     rest = [kinds for kinds, _ in worker if kinds != claim]
-    # Claims that found no task yet, or none after the last part, are idle.
-    assert sum(answers[1]["entry"] is not None for answers in claims) == 16
+    # A claim waits until it takes a task; the one parked after the last part
+    # ends with TxnNotOpen when the stop aborts its transaction.
+    taken = [
+        answers[0] for answers in claims if not isinstance(answers[0], TxnNotOpen)
+    ]
+    assert len(taken) == 16 and all(task["entry"] is not None for task in taken)
+    assert len(claims) <= 17
+    # A stop that comes before the last claim parks is aborted by the worker.
+    rest = [kinds for kinds in rest if kinds != [("txn.abort", None)]]
     assert sorted(rest) == sorted(start + [read_config] + [publish] * 16)
 
 
@@ -471,10 +480,13 @@ def test_the_heartbeat_renews_a_task_that_outlasts_its_lease(tmp_path, address):
     assert report.replays == 0
 
 
-def test_the_heartbeat_extends_a_claim_to_the_task_lease_at_once(tmp_path, address):
+def test_the_heartbeat_extends_a_claim_to_the_task_lease_within_the_claim_lease(
+    tmp_path, address
+):
     """A claim holds the short claim lease until the heartbeat renews it to
-    the task's lease. That renewal must come at once: a third of this lease
-    is later than the claim lease's end, and the agent outlasts both."""
+    the task's lease. That renewal must come within the claim lease, on the
+    claim lease's schedule: a third of this lease is later than the claim
+    lease's end, and the agent outlasts both."""
     task_lease_ms, delay_ms = 6_000, 2_500
     assert CLAIM_LEASE_MS < task_lease_ms // 3 < delay_ms
     config = make_case_config(
@@ -544,12 +556,125 @@ def test_soak_leaves_no_state_behind(server, address, tmp_path, monkeypatch):
     assert held == window + open_
 
 
-def test_idle_workers_keep_one_claim_transaction(server, address, tmp_path):
-    before = len(server.txns._records)
-    with running_workers(address, 2, tmp_path):
-        time.sleep(3.5 * CLAIM_WAIT_MS / 1000.0)
-        grown = len(server.txns._records) - before
+def wait_for_waiters(server, count, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while server.space.stats()["waiters"] < count:
+        assert time.monotonic() < deadline, f"fewer than {count} parked lookups"
+        time.sleep(0.005)
+
+
+def test_idle_workers_keep_one_claim_transaction(tmp_path):
+    """Over two claim leases, idle workers neither time a claim out nor send
+    it again: each waits in one take, and the heartbeat alone keeps its claim
+    transaction open."""
+    server = SpaceServer(host="127.0.0.1", port=0, record_history=True)
+    server.start()
+    host, port = server.address
+    try:
+        before = len(server.txns._records)
+        with running_workers(f"{host}:{port}", 2, tmp_path):
+            wait_for_waiters(server, 2)
+            time.sleep(2 * CLAIM_LEASE_MS / 1000.0)
+            grown = len(server.txns._records) - before
+            assert server.space.stats()["waiters"] == 2
+        takes = [
+            row for row in server.space.history
+            if row["op"] == "take" and row["template"]["kind"] == "TaskEntry"
+        ]
+    finally:
+        server.shutdown(drain_ms=0)
     assert grown <= 2
+    assert takes == []
+
+
+def test_a_stop_aborts_the_idle_claims_at_once(server, address, tmp_path):
+    """An idle worker's claim waits in the server with no deadline; a stop
+    aborts its transaction, which answers the claim, and the worker leaves
+    well within one claim lease."""
+    before = set(server.txns._records)
+    with running_workers(address, 2, tmp_path) as threads:
+        wait_for_waiters(server, 2)
+        claims = set(server.txns._records) - before
+        stopping = time.monotonic()
+    stopped_s = time.monotonic() - stopping
+    assert not any(thread.is_alive() for thread in threads)
+    assert stopped_s < 0.5
+    states = [server.txns.status(txn).state for txn in claims]
+    assert states == [transactions.ABORTED] * 2
+
+
+def test_short_parts_cost_fewer_renewals_than_parts(tmp_path, address, monkeypatch):
+    """A claim transaction is opened at the claim lease and first renewed a
+    third of that lease later, so a part that commits sooner costs no
+    renewal."""
+    renewals = []
+    renew = transactions.TxnManager.renew
+
+    def counting(self, txn_id, lease_ms):
+        renewals.append(txn_id)
+        renew(self, txn_id, lease_ms)
+
+    monkeypatch.setattr(transactions.TxnManager, "renew", counting)
+    config = make_case_config(
+        tmp_path, address, input_bytes=bytes(range(64)), num_parts=16
+    )
+    assert run_case_with_workers(config, 2, tmp_path).results == 16
+    assert len(renewals) < 16
+
+
+def test_a_worker_stopped_mid_part_commits_it_once(tmp_path, server, address):
+    """A stop leaves a claimed task to finish: its part is committed once and
+    not replayed, and the worker aborts the claim transaction it opened for
+    the next task instead of leaving it open until its lease runs out."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    delay_s = 0.5
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=b"x",
+        num_parts=1,
+        agent_params={"delay_ms": int(delay_s * 1000)},
+    )
+    reports = []
+    master = threading.Thread(
+        target=lambda: reports.append(Master(config).run()), daemon=True
+    )
+    with running_workers(address, 1, tmp_path, execlog_dir=logs) as threads:
+        master.start()
+        wait_for_event(logs, "file-read")
+        stopping = time.monotonic()
+    stopped_s = time.monotonic() - stopping
+    master.join(timeout=30)
+    assert not threads[0].is_alive()
+    assert stopped_s < delay_s + 0.5
+    assert [(r.results, r.replays) for r in reports] == [(1, 0)]
+    events = load_events([str(p) for p in logs.iterdir()])
+    ends = [e["event"] for e in events if e["event"] in ("commit", "task-abandoned")]
+    assert ends == ["commit"]
+    assert server.txns.open_count() == 0
+
+
+def test_an_idle_worker_process_exits_at_once_on_sigterm(tmp_path, server, address):
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "spacefarm", "worker",
+            "--space", address, "--scratch", str(tmp_path / "scratch"),
+        ],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        wait_for_waiters(server, 1)
+        proc.terminate()
+        sent = time.monotonic()
+        assert proc.wait(timeout=10) == 0
+        exited_s = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert exited_s < 0.5
 
 
 def test_clean_cases_leave_no_entries(server, address, tmp_path):
