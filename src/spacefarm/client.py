@@ -89,8 +89,9 @@ def take_request(
     return Request("space.take", params, _entry_or_none)
 
 
-def create_request(lease_ms: int) -> Request:
-    return Request("txn.create", {"lease_ms": lease_ms}, lambda result: result["txn_id"])
+def create_request(lease_ms: int, txn_id: str | None = None) -> Request:
+    params = {"lease_ms": lease_ms, "txn_id": txn_id}
+    return Request("txn.create", params, lambda result: result["txn_id"])
 
 
 def commit_request(txn_id: str) -> Request:
@@ -289,8 +290,8 @@ class Session:
         (result,) = unwrap(self._exchange([("space.subscribe", params)], on_event))
         return result["subscription_id"]
 
-    def txn_create(self, lease_ms: int) -> str:
-        return self._one(create_request(lease_ms))
+    def txn_create(self, lease_ms: int, txn_id: str | None = None) -> str:
+        return self._one(create_request(lease_ms, txn_id))
 
     def txn_renew(self, txn_id: str, lease_ms: int) -> None:
         self.call("txn.renew", {"txn_id": txn_id, "lease_ms": lease_ms})

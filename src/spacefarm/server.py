@@ -320,7 +320,8 @@ class SpaceServer:
         return {"subscription_id": sub_id}
 
     def _op_txn_create(self, conn: _Conn, params: dict[str, Any]) -> Any:
-        return {"txn_id": self.txns.create(int(params["lease_ms"]))}
+        txn_id = self.txns.create(int(params["lease_ms"]), params.get("txn_id"))
+        return {"txn_id": txn_id}
 
     def _op_txn_renew(self, conn: _Conn, params: dict[str, Any]) -> Any:
         self.txns.renew(params["txn_id"], int(params["lease_ms"]))

@@ -15,7 +15,8 @@ there is no prepare phase and no participant that can be unreachable.
 A finished transaction keeps its record only while it is among the newest
 TERMINAL_RECORDS finished ones, so a server that runs for days holds a
 bounded number of records.  A recent id still answers TXN_NOT_OPEN; an older
-one answers UNKNOWN_TXN, which callers treat the same way.
+one answers UNKNOWN_TXN, which callers treat the same way.  A caller may
+choose a transaction's id; an id that still has a record is refused.
 """
 
 from __future__ import annotations
@@ -58,11 +59,15 @@ class TxnManager:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def create(self, lease_ms: int) -> str:
+    def create(self, lease_ms: int, txn_id: str | None = None) -> str:
         if lease_ms < MIN_LEASE_MS:
             raise ValueError(f"lease_ms must be >= {MIN_LEASE_MS}, got {lease_ms}")
+        if txn_id is not None and not (isinstance(txn_id, str) and 0 < len(txn_id) <= 64):
+            raise ValueError("txn_id must be a string of 1 to 64 characters")
         with self._lock:
-            txn_id = new_entry_id()
+            txn_id = txn_id or new_entry_id()
+            if txn_id in self._records:
+                raise ValueError(f"transaction {txn_id} already exists")
             self._records[txn_id] = TxnRecord(
                 txn_id=txn_id,
                 state=OPEN,

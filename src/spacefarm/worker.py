@@ -1,16 +1,17 @@
 """Worker runtime: claim a task, run the agent, publish the result.
 
-The worker owns each task transaction T and handles a part in two round
-trips on its session:
-
-1. The claim: take the oldest TaskEntry under T with no deadline. No case
-   is named, so the take is the mutual exclusion, the wake-up and a fair
-   queue across cases at once. A worker with an allow list constrains the
-   take to its agents, so it never claims a task it would refuse. The task
-   carries the part's data.
-2. One pipelined batch: write the ResultEntry under T, commit T, and open
-   the transaction for the next claim. The commit consumes the task and
-   publishes the result in one step.
+The worker owns each task transaction T and handles a part in one round
+trip on its session, one pipelined batch: write the ResultEntry under T,
+commit T, open the next claim's transaction C under an id the worker
+chose, and take the oldest TaskEntry under C with timeout 0. The commit
+consumes the task and publishes the result in one step, and ends T before
+C opens. The take can name C because the server runs a connection's ops in
+order. A task it returns runs under C at once; a miss falls back to a take
+under C with no deadline, which is also the first claim. No case is named,
+so the take is the mutual exclusion, the wake-up and a fair queue across
+cases at once. A worker with an allow list constrains the take to its
+agents, so it never claims a task it would refuse. The task carries the
+part's data.
 
 Every frame of a batch is encoded before any is sent, so a commit never
 leaves without its write. A result too large to send abandons the attempt.
@@ -28,16 +29,17 @@ One heartbeat thread per session is the only renewer of T: at
 CLAIM_LEASE_MS while the take waits, then at the task's lease, every third
 of the lease T last got, so a dead worker is detected by expiry. Any abort,
 by expiry, by the worker itself or by an injected fault, restores the task,
-and the next free worker claims it again. A stop aborts a waiting claim's
-T, which answers the take at once; a worker that holds a task finishes or
-abandons it first.
+and the next free worker claims it again. A worker whose renewal of T
+failed abandons the task before the agent starts or after it ends. A stop
+aborts a waiting claim's T, which answers the take at once; a worker that
+holds a task finishes or abandons it first.
 
 Fault injection for the test harness is compiled in but dormant: the
 SPACEFARM_FAULT environment variable arms hooks at fixed phases of
 execution (after-claim, after-file-read, before-result-write,
 before-computed-mark) with an action of kill, pause:<ms>, or abort-txn.
-Each armed fault fires once per process. The last two fire before batch 2,
-so an abort there voids the result write.
+Each armed fault fires once per process. The last two fire before the
+publish batch, so an abort there voids the result write.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .client import (
     WireSpaceHandle,
     commit_request,
     create_request,
+    take_request,
     unwrap,
     write_request,
 )
@@ -268,23 +271,25 @@ class Worker:
         heartbeat = _Heartbeat(session)
         try:
             txn: str | None = None
+            task: TaskEntry | None = None  # taken under txn by the publish batch
             while not stop.is_set():
                 if txn is None:
                     txn = session.txn_create(CLAIM_LEASE_MS)
                 heartbeat.hold(txn, CLAIM_LEASE_MS)
-                self._parked = (session, txn)
-                try:
-                    if stop.is_set():
-                        break  # set before the claim was parked
-                    task = session.take(self._claim, txn, timeout_ms=None)
-                except (TxnNotOpen, UnknownTxn):
-                    txn = None  # expired, or aborted by a stop
-                    continue
-                finally:
-                    self._parked = None
+                if task is None:
+                    self._parked = (session, txn)
+                    try:
+                        if stop.is_set():
+                            break  # set before the claim was parked
+                        task = session.take(self._claim, txn, timeout_ms=None)
+                    except (TxnNotOpen, UnknownTxn):
+                        txn = None  # expired, or aborted by a stop
+                        continue
+                    finally:
+                        self._parked = None
                 if stop.is_set():
                     break  # a stop may be aborting T already
-                txn = self._execute(session, heartbeat, task, txn)
+                txn, task = self._execute(session, heartbeat, task, txn) or (None, None)
             if txn is not None:
                 # Abort an unused claim, or put back a task claimed as the stop came.
                 with contextlib.suppress(SpacefarmError):
@@ -309,10 +314,10 @@ class Worker:
 
     def _execute(
         self, session: Session, heartbeat: _Heartbeat, task: TaskEntry, txn: str
-    ) -> str | None:
+    ) -> tuple[str, TaskEntry | None] | None:
         """Run a claimed task under T, with the heartbeat holding T; returns
-        the transaction the publish batch opened for the next claim, or None
-        if the attempt ended before it."""
+        the transaction the publish batch opened for the next claim and the
+        task it took under it, or None if the attempt ended before it."""
         self._emit("claimed", task, txn)
         self.faults.fire(
             "after-claim", self.execlog, session, txn,
@@ -342,6 +347,8 @@ class Worker:
             "after-file-read", self.execlog, session, txn,
             worker_id=self.worker_id, part_index=task.part_index,
         )
+        if heartbeat.lost(txn):
+            return self._abandon(session, task, txn, "lease-lost")
         data = decode_payload(task.payload)
         self._emit("file-read", task, txn)
         params = dict(config.agent_params)
@@ -365,11 +372,13 @@ class Worker:
             entry_id=new_entry_id(),
             payload=encode_payload(output),
         )
+        next_txn = new_entry_id()
         try:
-            written, committed, next_claim = session.batch([
+            written, committed, created, next_task = session.batch([
                 write_request(result, txn),
                 commit_request(txn),
-                create_request(CLAIM_LEASE_MS),
+                create_request(CLAIM_LEASE_MS, next_txn),
+                take_request(self._claim, next_txn),
             ])
         except FrameTooLarge:
             return self._abandon(session, task, txn, "result-too-large")
@@ -382,7 +391,9 @@ class Worker:
             # because exec-log readers pair them.
             for event in ("result-written", "computed-marked", "commit"):
                 self._emit(event, task, txn)
-        return unwrap([next_claim])[0]
+        unwrap([created])
+        # A take that missed or failed leaves the claim to a blocking take.
+        return next_txn, None if isinstance(next_task, SpacefarmError) else next_task
 
     def _emit(self, event: str, task: TaskEntry, txn: str, **fields) -> None:
         self.execlog.emit(

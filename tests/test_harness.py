@@ -1,6 +1,11 @@
 """Scenario runner: spec validation, helpers, and one small live run."""
 
+import os
+import signal
 import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -120,3 +125,36 @@ def test_small_scenario_runs_end_to_end(tmp_path):
     assert report.passed
     assert (tmp_path / "out.bin").read_bytes() == b"0123456789abcdef"
     assert (tmp_path / "artifacts" / "scenario-report.json").exists()
+
+
+def test_harness_children_die_with_the_process_that_started_them(tmp_path):
+    """A test process killed mid-scenario leaves no server listening."""
+    script = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from spacefarm.harness import Scenario, _Run\n"
+        "spec = {'name': 'orphan', 'topology': {'workers': 1}, 'case': {}}\n"
+        "run = _Run(Scenario.from_dict(spec), Path(sys.argv[1]))\n"
+        "run._start_server()\n"
+        "print(run.port, run.server.pid, flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    starter = subprocess.Popen(
+        [sys.executable, "-c", script, str(tmp_path)], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        port, server_pid = map(int, starter.stdout.readline().split())
+    finally:
+        starter.kill()
+        starter.wait()
+        starter.stdout.close()
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+        except OSError:
+            return  # the server is gone
+        if time.monotonic() > deadline:
+            os.kill(server_pid, signal.SIGTERM)  # still listening, so still ours
+            pytest.fail("the harness server outlived its parent")
+        time.sleep(0.05)

@@ -40,7 +40,7 @@ from spacefarm.errors import (
     TxnNotOpen,
 )
 from spacefarm.execlog import load_events
-from spacefarm.harness import free_port
+from spacefarm.harness import check_exactly_once, free_port
 from spacefarm.master import CaseConfig, Master
 from spacefarm.server import SpaceServer
 from spacefarm.worker import CLAIM_LEASE_MS, FaultInjector, _Fault
@@ -205,6 +205,34 @@ def test_aborted_attempt_leaves_no_scratch_file(tmp_path, address):
     with open(config.output_path, "rb") as fh:
         assert fh.read() == payload
     assert [p for p in tmp_path.glob("scratch-*/**/*") if p.is_file()] == []
+
+
+def test_a_claim_lost_before_the_agent_starts_never_runs_it(tmp_path, address):
+    """The claim is aborted right after it was taken, and the heartbeat's
+    renewal during the pause comes back TXN_NOT_OPEN: the worker abandons
+    the attempt before the agent starts, and the replay commits the part."""
+    assert 700 > CLAIM_LEASE_MS / 3  # a renewal falls inside the pause
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    config = make_case_config(
+        tmp_path, address, input_bytes=bytes(range(32)), num_parts=2
+    )
+    injectors = {
+        0: FaultInjector([
+            _Fault(phase="after-claim", action="abort-txn"),
+            _Fault(phase="after-claim", action="pause", pause_ms=700),
+        ])
+    }
+    report = run_case_with_workers(
+        config, 1, tmp_path, injectors=injectors, execlog_dir=logs
+    )
+    assert report.results == 2
+    events = load_events([str(p) for p in logs.iterdir()])
+    first = next(e for e in events if e["event"] == "claimed")
+    attempt = [e for e in events if e.get("txn") == first["txn"]]
+    assert [e["event"] for e in attempt] == ["claimed", "task-abandoned"]
+    assert attempt[-1]["reason"] == "lease-lost"
+    assert check_exactly_once(events, 2)
 
 
 def test_failing_agent_exhausts_attempts(tmp_path, address, session):
@@ -389,12 +417,13 @@ def test_a_result_too_large_to_send_fails_the_case_not_the_worker(
         session.close()
 
 
-def test_a_part_costs_two_round_trips_and_one_configuration_read(
+def test_a_part_costs_one_round_trip_and_one_configuration_read(
     tmp_path, monkeypatch
 ):
     """One worker, 16 parts: the master feeds in one batch, and the worker
-    reads the configuration once and spends two round trips per part: one
-    take of a TaskEntry and one publish batch."""
+    reads the configuration once and spends one round trip per part: a
+    publish batch that also claims the next task. A blocking take follows
+    only a batched take that missed."""
     server = SpaceServer(host="127.0.0.1", port=0, record_history=True)
     server.start()
     host, port = server.address
@@ -427,25 +456,31 @@ def test_a_part_costs_two_round_trips_and_one_configuration_read(
     feeds = [kinds for _, kinds, _ in batches if feed in kinds]
     assert feeds == [[feed] * 16]
     claim = [("space.take", "TaskEntry")]
-    read_config = [("space.read", "ConfigurationEntry")]
     publish = [
-        ("space.write", "ResultEntry"), ("txn.commit", None), ("txn.create", None)
+        ("space.write", "ResultEntry"), ("txn.commit", None),
+        ("txn.create", None), ("space.take", "TaskEntry"),
     ]
-    start = [[("space.subscribe", "StopEntry")], [("txn.create", None)]]
     worker = [(kinds, answers) for name, kinds, answers in batches
               if name == "test-worker-0"]
-    claims = [answers for kinds, answers in worker if kinds == claim]
-    rest = [kinds for kinds, _ in worker if kinds != claim]
-    # A claim waits until it takes a task; the one parked after the last part
-    # ends with TxnNotOpen when the stop aborts its transaction.
-    taken = [
-        answers[0] for answers in claims if not isinstance(answers[0], TxnNotOpen)
+    assert [kinds for kinds, _ in worker[:4]] == [
+        [("space.subscribe", "StopEntry")], [("txn.create", None)], claim,
+        [("space.read", "ConfigurationEntry")],
     ]
-    assert len(taken) == 16 and all(task["entry"] is not None for task in taken)
-    assert len(claims) <= 17
+    assert worker[2][1][0]["entry"] is not None
+    rest = worker[4:]
     # A stop that comes before the last claim parks is aborted by the worker.
-    rest = [kinds for kinds in rest if kinds != [("txn.abort", None)]]
-    assert sorted(rest) == sorted(start + [read_config] + [publish] * 16)
+    if rest[-1][0] == [("txn.abort", None)]:
+        rest = rest[:-1]
+    assert rest[0][0] == publish
+    assert sum(kinds == publish for kinds, _ in rest) == 16
+    for (kinds, answers), (before, answered) in zip(rest[1:], rest):
+        assert kinds in (publish, claim)
+        if kinds == claim:
+            # The batched take before it missed. A claim waits until it takes
+            # a task; the one parked after the last part ends with TxnNotOpen
+            # when the stop aborts its transaction.
+            assert before == publish and answered[3]["entry"] is None
+            assert isinstance(answers[0], TxnNotOpen) or answers[0]["entry"]
 
 
 def test_a_case_starts_no_thread_per_part(tmp_path, address, monkeypatch):

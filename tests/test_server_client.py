@@ -18,8 +18,16 @@ from spacefarm.client import (
     take_request,
     write_request,
 )
-from spacefarm.entries import RowEntry, StopEntry, TaskEntry, Template, encode_payload
+from spacefarm.entries import (
+    RowEntry,
+    StopEntry,
+    TaskEntry,
+    Template,
+    encode_payload,
+    new_entry_id,
+)
 from spacefarm.errors import (
+    BadRequest,
     ConnectionFailed,
     FrameTooLarge,
     InvalidTemplate,
@@ -361,6 +369,46 @@ def test_subscription_sees_commit_promotions(session):
     assert inbox.get(timeout=5) is not None
 
 
+def test_a_chosen_txn_id_is_the_id_returned(session):
+    txn = new_entry_id()
+    assert session.txn_create(5_000, txn) == txn
+    assert session.txn_status(txn).state == "OPEN"
+    session.txn_abort(txn)
+
+
+def test_a_chosen_txn_id_in_use_is_refused(session):
+    opened = session.txn_create(5_000, new_entry_id())
+    finished = session.txn_create(5_000, new_entry_id())
+    session.txn_commit(finished)
+    for txn in (opened, finished):
+        before = session.txn_status(txn)
+        with pytest.raises(BadRequest):
+            session.txn_create(60_000, txn)
+        assert session.txn_status(txn) == before
+    session.txn_abort(opened)
+
+
+@pytest.mark.parametrize("bad", [7, "", "x" * 65])
+def test_a_malformed_txn_id_is_refused(session, bad):
+    with pytest.raises(BadRequest):
+        session.call("txn.create", {"lease_ms": 5_000, "txn_id": bad})
+
+
+def test_a_batch_takes_under_the_transaction_it_creates(session):
+    """The server runs a connection's ops in order, so a take may name a
+    transaction whose create is in the same batch."""
+    template = Template("StopEntry", {"case_id": "batched-claim"})
+    session.write(StopEntry(case_id="batched-claim"))
+    txn = new_entry_id()
+    created, taken = session.batch(
+        [create_request(5_000, txn), take_request(template, txn)]
+    )
+    assert created == txn and taken == StopEntry(case_id="batched-claim")
+    assert session.read(template) is None
+    session.txn_abort(txn)  # the take was under txn, so the abort restores it
+    assert session.read(template) == StopEntry(case_id="batched-claim")
+
+
 def test_admin_status_reports_counts(session):
     session.write(StopEntry(case_id="status-case"))
     txn = session.txn_create(5_000)
@@ -375,8 +423,9 @@ def test_admin_status_reports_counts(session):
     session.txn_abort(txn)
 
 
-# spacefarm/1 still had entry leases and transaction-scoped subscriptions.
-@pytest.mark.parametrize("hello", ["otherproto/9", "spacefarm/1"])
+# spacefarm/1 still had entry leases and transaction-scoped subscriptions;
+# spacefarm/2 had no transaction ids chosen by the client.
+@pytest.mark.parametrize("hello", ["otherproto/9", "spacefarm/1", "spacefarm/2"])
 def test_wrong_hello_is_refused(server, hello):
     host, port = server.address
     sock = socket.create_connection((host, port), timeout=5)

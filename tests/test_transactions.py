@@ -38,6 +38,36 @@ def test_create_rejects_tiny_lease(fake_clock):
         txns.create(MIN_LEASE_MS - 1)
 
 
+def test_create_under_a_chosen_id(fake_clock):
+    _, txns = make_pair(fake_clock)
+    assert txns.create(1_000, "chosen") == "chosen"
+    assert txns.status("chosen").state == OPEN
+    longest = "x" * 64
+    assert txns.create(1_000, longest) == longest
+
+
+def test_a_chosen_id_that_has_a_record_is_refused_and_left_untouched(fake_clock):
+    _, txns = make_pair(fake_clock)
+    txns.create(1_000, "open")
+    txns.commit(txns.create(1_000, "finished"))
+    fake_clock.advance(0.5)
+    for txn in ("open", "finished"):
+        before = txns.status(txn)
+        with pytest.raises(ValueError):
+            txns.create(5_000, txn)
+        assert txns.status(txn) == before
+    fake_clock.advance(0.6)
+    assert txns.sweep() == ["open"]  # still on its own lease
+
+
+@pytest.mark.parametrize("bad", [7, "", "x" * 65])
+def test_a_malformed_chosen_id_is_refused(fake_clock, bad):
+    _, txns = make_pair(fake_clock)
+    with pytest.raises(ValueError):
+        txns.create(1_000, bad)
+    assert txns.open_count() == 0
+
+
 def test_unknown_and_terminal_txns(fake_clock):
     _, txns = make_pair(fake_clock)
     with pytest.raises(UnknownTxn):
