@@ -290,8 +290,8 @@ class Session:
         (result,) = unwrap(self._exchange([("space.subscribe", params)], on_event))
         return result["subscription_id"]
 
-    def txn_create(self, lease_ms: int, txn_id: str | None = None) -> str:
-        return self._one(create_request(lease_ms, txn_id))
+    def txn_create(self, lease_ms: int) -> str:
+        return self._one(create_request(lease_ms))
 
     def txn_renew(self, txn_id: str, lease_ms: int) -> None:
         self.call("txn.renew", {"txn_id": txn_id, "lease_ms": lease_ms})

@@ -30,16 +30,18 @@ from .worker import FAULT_ACTIONS, FAULT_ENV_VAR, FAULT_PHASES
 SERVER_READY_TIMEOUT_S = 10.0
 DEFAULT_SCENARIO_TIMEOUT_S = 120.0
 
-# Runs the CLI in a child that gets SIGTERM (PR_SET_PDEATHSIG is 1) when the
-# process that started it dies, so a killed test run leaves no farm behind.
+# Runs the CLI in a child that, on Linux, gets SIGTERM (PR_SET_PDEATHSIG is
+# 1) when the process that started it dies, so a killed test run leaves no
+# farm behind; elsewhere prctl does not exist and the child just runs.
 # The child's command line keeps "-m spacefarm <command>" for ps and pgrep.
 _DIE_WITH_PARENT = (
     "import ctypes, os, signal, sys\n"
-    "prctl = ctypes.CDLL(None).prctl\n"
-    "prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int\n"
-    "prctl(1, signal.SIGTERM)\n"
-    "if os.getppid() != {parent}:\n"
-    "    sys.exit(1)  # the parent died before prctl took effect\n"
+    "if sys.platform == 'linux':\n"
+    "    prctl = ctypes.CDLL(None).prctl\n"
+    "    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]\n"
+    "    prctl(1, signal.SIGTERM)\n"
+    "    if os.getppid() != {parent}:\n"
+    "        sys.exit(1)  # the parent died before prctl took effect\n"
     "from spacefarm.cli import main\n"
     "sys.exit(main(sys.argv[3:]))\n"
 )

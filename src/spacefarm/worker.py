@@ -32,7 +32,8 @@ by expiry, by the worker itself or by an injected fault, restores the task,
 and the next free worker claims it again. A worker whose renewal of T
 failed abandons the task before the agent starts or after it ends. A stop
 aborts a waiting claim's T, which answers the take at once; a worker that
-holds a task finishes or abandons it first.
+holds a task finishes or abandons it first, and its publish batch then
+takes no next task.
 
 Fault injection for the test harness is compiled in but dormant: the
 SPACEFARM_FAULT environment variable arms hooks at fixed phases of
@@ -289,7 +290,7 @@ class Worker:
                         self._parked = None
                 if stop.is_set():
                     break  # a stop may be aborting T already
-                txn, task = self._execute(session, heartbeat, task, txn) or (None, None)
+                txn, task = self._execute(session, heartbeat, stop, task, txn) or (None, None)
             if txn is not None:
                 # Abort an unused claim, or put back a task claimed as the stop came.
                 with contextlib.suppress(SpacefarmError):
@@ -313,7 +314,8 @@ class Worker:
     # -- execution -----------------------------------------------------------------
 
     def _execute(
-        self, session: Session, heartbeat: _Heartbeat, task: TaskEntry, txn: str
+        self, session: Session, heartbeat: _Heartbeat, stop: threading.Event,
+        task: TaskEntry, txn: str,
     ) -> tuple[str, TaskEntry | None] | None:
         """Run a claimed task under T, with the heartbeat holding T; returns
         the transaction the publish batch opened for the next claim and the
@@ -373,12 +375,14 @@ class Worker:
             payload=encode_payload(output),
         )
         next_txn = new_entry_id()
+        # A stopped worker takes no task that its abort would only put back.
+        take = [] if stop.is_set() else [take_request(self._claim, next_txn)]
         try:
-            written, committed, created, next_task = session.batch([
+            written, committed, created, *taken = session.batch([
                 write_request(result, txn),
                 commit_request(txn),
                 create_request(CLAIM_LEASE_MS, next_txn),
-                take_request(self._claim, next_txn),
+                *take,
             ])
         except FrameTooLarge:
             return self._abandon(session, task, txn, "result-too-large")
@@ -392,7 +396,8 @@ class Worker:
             for event in ("result-written", "computed-marked", "commit"):
                 self._emit(event, task, txn)
         unwrap([created])
-        # A take that missed or failed leaves the claim to a blocking take.
+        # A take that missed, failed or was left out leaves the claim to a blocking take.
+        next_task = taken[0] if taken else None
         return next_txn, None if isinstance(next_task, SpacefarmError) else next_task
 
     def _emit(self, event: str, task: TaskEntry, txn: str, **fields) -> None:

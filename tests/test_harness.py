@@ -127,6 +127,7 @@ def test_small_scenario_runs_end_to_end(tmp_path):
     assert (tmp_path / "artifacts" / "scenario-report.json").exists()
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux-only")
 def test_harness_children_die_with_the_process_that_started_them(tmp_path):
     """A test process killed mid-scenario leaves no server listening."""
     script = (

@@ -690,6 +690,33 @@ def test_a_worker_stopped_mid_part_commits_it_once(tmp_path, server, address):
     assert server.txns.open_count() == 0
 
 
+def test_a_worker_stopped_mid_part_takes_no_next_task(tmp_path, server, address):
+    """A worker stopped while a part runs publishes it without taking the
+    waiting task, so its abort puts nothing back: the case sees no replay,
+    and one attempt per part is enough."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=b"xy",
+        num_parts=2,
+        max_attempts=1,
+        agent_params={"delay_ms": 300},
+    )
+    reports = []
+    master = threading.Thread(
+        target=lambda: reports.append(Master(config).run()), daemon=True
+    )
+    with running_workers(address, 1, tmp_path, execlog_dir=logs):
+        master.start()
+        wait_for_event(logs, "file-read")
+    with running_workers(address, 1, tmp_path):
+        master.join(timeout=30)
+    assert [(r.results, r.replays) for r in reports] == [(2, 0)]
+    assert server.txns.open_count() == 0
+
+
 def test_an_idle_worker_process_exits_at_once_on_sigterm(tmp_path, server, address):
     proc = subprocess.Popen(
         [

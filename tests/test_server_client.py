@@ -371,19 +371,19 @@ def test_subscription_sees_commit_promotions(session):
 
 def test_a_chosen_txn_id_is_the_id_returned(session):
     txn = new_entry_id()
-    assert session.txn_create(5_000, txn) == txn
+    assert session.batch([create_request(5_000, txn)]) == [txn]
     assert session.txn_status(txn).state == "OPEN"
     session.txn_abort(txn)
 
 
 def test_a_chosen_txn_id_in_use_is_refused(session):
-    opened = session.txn_create(5_000, new_entry_id())
-    finished = session.txn_create(5_000, new_entry_id())
+    opened = session.txn_create(5_000)
+    finished = session.txn_create(5_000)
     session.txn_commit(finished)
     for txn in (opened, finished):
         before = session.txn_status(txn)
         with pytest.raises(BadRequest):
-            session.txn_create(60_000, txn)
+            session.call("txn.create", {"lease_ms": 60_000, "txn_id": txn})
         assert session.txn_status(txn) == before
     session.txn_abort(opened)
 
