@@ -12,6 +12,15 @@ of float operations regardless of the partitioning, and published rows travel
 as 17-significant-digit decimals, which round-trip 64-bit floats exactly. The
 assembled factor is therefore bit-identical for every worker count.
 
+No value is turned into text twice. A part carries the input's own row
+lines: the cut validates the input but formats nothing, and the worker reads
+from those tokens the doubles a re-formatted part would give. A factor row is
+final once its pivot is set; it is formatted then, once, and that text is both
+the RowEntry the other tasks read and the row's line in the result. assemble
+splices the result rows and pads them with "0". The output bytes are those of
+formatting every factor value, because format_value(float(s)) == s for every s
+that format_value wrote, and format_value(0.0) == "0".
+
 All matrix I/O is text: a matrix file is the dimension on the first line and
 one whitespace-separated row per line; a multi-channel file holds several such
 blocks separated by blank lines.
@@ -20,6 +29,7 @@ blocks separated by blank lines.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from ..entries import RowEntry, Template
 from ..errors import NotPositiveDefinite, RowTimeout
@@ -59,8 +69,8 @@ def parse_matrix_block(lines: list[str]) -> list[list[float]]:
     return rows
 
 
-def parse_matrices(text: str) -> list[list[list[float]]]:
-    """Parse a matrix file into its blocks (one per blank-line-separated matrix)."""
+def matrix_blocks(text: str) -> list[list[str]]:
+    """Split a matrix file into its blank-line-separated blocks of stripped lines."""
     blocks: list[list[str]] = []
     current: list[str] = []
     for raw in text.splitlines():
@@ -75,7 +85,12 @@ def parse_matrices(text: str) -> list[list[list[float]]]:
         blocks.append(current)
     if not blocks:
         raise ValueError("no matrices in input")
-    return [parse_matrix_block(b) for b in blocks]
+    return blocks
+
+
+def parse_matrices(text: str) -> list[list[list[float]]]:
+    """Parse a matrix file into its blocks (one per blank-line-separated matrix)."""
+    return [parse_matrix_block(b) for b in matrix_blocks(text)]
 
 
 def format_matrix(rows: list[list[float]]) -> str:
@@ -92,10 +107,18 @@ def format_matrix(rows: list[list[float]]) -> str:
 def format_part(
     matrix_id: int, rank: int, p: int, size: int, rows: dict[int, list[float]]
 ) -> bytes:
-    lines = [f"part {matrix_id} {rank} {p} {size}"]
-    for j in sorted(rows):
-        lines.append(f"{j} " + " ".join(format_value(v) for v in rows[j]))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines = {j: " ".join(format_value(v) for v in row) for j, row in rows.items()}
+    return part_from_lines(matrix_id, rank, p, size, lines)
+
+
+def part_from_lines(
+    matrix_id: int, rank: int, p: int, size: int, lines: dict[int, str]
+) -> bytes:
+    """A part whose row j is the text lines[j], whitespace-separated values."""
+    out = [f"part {matrix_id} {rank} {p} {size}"]
+    for j in sorted(lines):
+        out.append(f"{j} {lines[j]}")
+    return ("\n".join(out) + "\n").encode("utf-8")
 
 
 def parse_part(data: bytes) -> tuple[int, int, int, int, dict[int, list[float]]]:
@@ -122,14 +145,19 @@ def parse_part(data: bytes) -> tuple[int, int, int, int, dict[int, list[float]]]
     return matrix_id, rank, p, size, rows
 
 
-def format_rows(matrix_id: int, size: int, rows: dict[int, list[float]]) -> bytes:
+def format_rows(matrix_id: int, size: int, rows: dict[int, Sequence[str]]) -> bytes:
+    """A result payload; rows[j] holds factor row j's j + 1 values as text."""
     lines = [f"rows {matrix_id} {size}"]
     for j in sorted(rows):
-        lines.append(f"{j} " + " ".join(format_value(v) for v in rows[j]))
+        lines.append(f"{j} " + " ".join(rows[j]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def parse_rows(data: bytes) -> tuple[int, int, dict[int, list[float]]]:
+def parse_row_tokens(data: bytes) -> tuple[int, int, dict[int, list[str]]]:
+    """Read a result payload into each factor row's value tokens.
+
+    Every token is checked to parse as a float, but none is converted.
+    """
     lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("rows "):
         raise ValueError("result payload must start with a 'rows' header")
@@ -137,13 +165,17 @@ def parse_rows(data: bytes) -> tuple[int, int, dict[int, list[float]]]:
     if len(fields) != 3:
         raise ValueError(f"malformed rows header: {lines[0]!r}")
     matrix_id, size = int(fields[1]), int(fields[2])
-    rows: dict[int, list[float]] = {}
+    rows: dict[int, list[str]] = {}
     for line in lines[1:]:
         toks = line.split()
         j = int(toks[0])
-        row = [float(t) for t in toks[1:]]
+        if not 0 <= j < size:
+            raise ValueError(f"factor row {j} is outside a matrix of size {size}")
+        row = toks[1:]
         if len(row) != j + 1:
             raise ValueError(f"factor row {j} has {len(row)} values, expected {j + 1}")
+        for tok in row:
+            float(tok)
         rows[j] = row
     return matrix_id, size, rows
 
@@ -160,6 +192,7 @@ def execute(data: bytes, params: dict, space=None) -> bytes:
 
     owned = sorted(a_rows)
     lrows: dict[int, list[float]] = {j: [0.0] * (j + 1) for j in owned}
+    factor: dict[int, tuple[str, ...]] = {}  # owned rows as text, once final
 
     for i in range(size):
         if i % p == rank:
@@ -174,13 +207,14 @@ def execute(data: bytes, params: dict, space=None) -> bytes:
                 )
             li[i] = math.sqrt(pivot)
             row_i = li
+            factor[i] = tuple(format_value(v) for v in li)
             if p > 1:
                 space.write(
                     RowEntry(
                         case_id=case_id,
                         matrix_id=str(matrix_id),
                         row_index=i,
-                        values=tuple(format_value(v) for v in li),
+                        values=factor[i],
                     )
                 )
         else:
@@ -205,14 +239,17 @@ def execute(data: bytes, params: dict, space=None) -> bytes:
                 s += lj[k] * row_i[k]
             lj[i] = (a_rows[j][i] - s) / lii
 
-    return format_rows(matrix_id, size, lrows)
+    return format_rows(matrix_id, size, factor)
 
 
 def assemble(results: list[bytes]) -> bytes:
-    """Merge per-task factor rows into full matrix blocks, one per matrix_id."""
-    by_matrix: dict[int, tuple[int, dict[int, list[float]]]] = {}
+    """Merge per-task factor rows into full matrix blocks, one per matrix_id.
+
+    Rows are spliced as text, so no value is formatted again.
+    """
+    by_matrix: dict[int, tuple[int, dict[int, list[str]]]] = {}
     for payload in results:
-        matrix_id, size, rows = parse_rows(payload)
+        matrix_id, size, rows = parse_row_tokens(payload)
         held = by_matrix.setdefault(matrix_id, (size, {}))
         if held[0] != size:
             raise ValueError(f"matrix {matrix_id} has conflicting sizes")
@@ -223,6 +260,8 @@ def assemble(results: list[bytes]) -> bytes:
         missing = [j for j in range(size) if j not in rows]
         if missing:
             raise ValueError(f"matrix {matrix_id} is missing factor rows {missing}")
-        full = [rows[j] + [0.0] * (size - 1 - j) for j in range(size)]
-        blocks.append(format_matrix(full))
+        lines = [str(size)]
+        for j in range(size):
+            lines.append(" ".join(rows[j]) + " 0" * (size - 1 - j))
+        blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks).encode("utf-8")

@@ -52,39 +52,46 @@ def byte_chunk(data: bytes, num_parts: int, params: dict) -> list[bytes]:
     return parts
 
 
-def matrix_set(data: bytes, num_parts: int, params: dict) -> list[bytes]:
-    """One whole matrix per part; each task runs its own full factorization."""
+def _matrix_blocks(data: bytes) -> list[list[str]]:
+    """The input's matrix blocks as stripped lines, dimension first.
+
+    Every block is parsed once to validate it; parts then carry the row lines
+    as written, so no value is formatted again.
+    """
     try:
-        matrices = cholesky.parse_matrices(data.decode("utf-8"))
+        blocks = cholesky.matrix_blocks(data.decode("utf-8"))
+        for block in blocks:
+            cholesky.parse_matrix_block(block)
     except (UnicodeDecodeError, ValueError) as exc:
         raise CutFailed(str(exc)) from exc
-    if len(matrices) != num_parts:
-        raise CutFailed(f"input holds {len(matrices)} matrices, config says {num_parts}")
+    return blocks
+
+
+def matrix_set(data: bytes, num_parts: int, params: dict) -> list[bytes]:
+    """One whole matrix per part; each task runs its own full factorization."""
+    blocks = _matrix_blocks(data)
+    if len(blocks) != num_parts:
+        raise CutFailed(f"input holds {len(blocks)} matrices, config says {num_parts}")
     parts = []
-    for index, rows in enumerate(matrices):
-        size = len(rows)
-        parts.append(
-            cholesky.format_part(index, 0, 1, size, {j: rows[j] for j in range(size)})
-        )
+    for index, block in enumerate(blocks):
+        lines = dict(enumerate(block[1:]))
+        parts.append(cholesky.part_from_lines(index, 0, 1, len(lines), lines))
     return parts
 
 
 def cholesky_rowblock(data: bytes, num_parts: int, params: dict) -> list[bytes]:
     """Round-robin row partition of a single matrix into num_parts tasks."""
-    try:
-        matrices = cholesky.parse_matrices(data.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise CutFailed(str(exc)) from exc
-    if len(matrices) != 1:
-        raise CutFailed(f"row partitioning expects one matrix, got {len(matrices)}")
-    rows = matrices[0]
-    size = len(rows)
+    blocks = _matrix_blocks(data)
+    if len(blocks) != 1:
+        raise CutFailed(f"row partitioning expects one matrix, got {len(blocks)}")
+    lines = blocks[0][1:]
+    size = len(lines)
     if size % num_parts != 0:
         raise CutFailed(f"part count {num_parts} does not divide dimension {size}")
     parts = []
     for rank in range(num_parts):
-        owned = {j: rows[j] for j in range(rank, size, num_parts)}
-        parts.append(cholesky.format_part(0, rank, num_parts, size, owned))
+        owned = {j: lines[j] for j in range(rank, size, num_parts)}
+        parts.append(cholesky.part_from_lines(0, rank, num_parts, size, owned))
     return parts
 
 

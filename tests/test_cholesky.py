@@ -4,6 +4,8 @@ import math
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import cholesky_oracle, spd_matrix
 from spacefarm.agents import CASE_ID_PARAM, cholesky
@@ -12,10 +14,10 @@ from spacefarm.errors import NotPositiveDefinite, RowTimeout
 from spacefarm.space import SpaceCore
 
 
-def run_partitioned(a, p, case_id="chol-test"):
-    """Execute all p tasks of one factorization in parallel threads sharing an
-    in-process space, then assemble the factor."""
-    data = cholesky.format_matrix(a).encode("utf-8")
+def run_parts(data, p, case_id="chol-test"):
+    """Execute all p tasks of one factorization of the matrix file data in
+    parallel threads sharing an in-process space; return each rank's result
+    and the space."""
     parts = cholesky_rowblock(data, p, {})
     core = SpaceCore()
     params = {CASE_ID_PARAM: case_id, "row_timeout_ms": 20_000}
@@ -37,7 +39,14 @@ def run_partitioned(a, p, case_id="chol-test"):
     for thread in threads:
         thread.join(timeout=30)
     assert not errors, errors
-    return cholesky.assemble([results[rank] for rank in range(p)])
+    return [results[rank] for rank in range(p)], core
+
+
+def run_partitioned(a, p, case_id="chol-test"):
+    """Factor the matrix a in p tasks and assemble the factor."""
+    data = cholesky.format_matrix(a).encode("utf-8")
+    results, _ = run_parts(data, p, case_id)
+    return cholesky.assemble(results)
 
 
 def parse_factor(output: bytes) -> list[list[float]]:
@@ -88,11 +97,15 @@ def test_part_payload_roundtrip():
 
 
 def test_rows_payload_roundtrip():
-    rows = {0: [2.0], 2: [1.0, 0.0, 1.5]}
-    matrix_id, size, parsed = cholesky.parse_rows(cholesky.format_rows(4, 3, rows))
-    assert matrix_id == 4 and size == 3 and parsed == rows
+    rows = {0: ("2",), 2: ("1", "0", "1.5")}
+    payload = cholesky.format_rows(4, 3, rows)
+    matrix_id, size, parsed = cholesky.parse_row_tokens(payload)
+    assert matrix_id == 4 and size == 3
+    assert parsed == {j: list(tokens) for j, tokens in rows.items()}
     with pytest.raises(ValueError):
-        cholesky.parse_rows(b"rows 1 2\n0 1.0 2.0\n")  # factor row 0 must have 1 value
+        cholesky.parse_row_tokens(b"rows 1 2\n0 1.0 2.0\n")  # row 0 must have 1 value
+    with pytest.raises(ValueError):
+        cholesky.parse_row_tokens(b"rows 1 2\n2 1 2 3\n")  # row index past the size
 
 
 def test_identity_factorizes_to_identity():
@@ -161,20 +174,124 @@ def test_multi_task_without_space_is_rejected():
 
 def test_assemble_rejects_missing_rows_and_size_conflicts():
     with pytest.raises(ValueError):
-        cholesky.assemble([cholesky.format_rows(0, 2, {0: [1.0]})])
+        cholesky.assemble([cholesky.format_rows(0, 2, {0: ("1",)})])
     with pytest.raises(ValueError):
         cholesky.assemble(
             [
-                cholesky.format_rows(0, 2, {0: [1.0]}),
-                cholesky.format_rows(0, 3, {1: [0.0, 1.0]}),
+                cholesky.format_rows(0, 2, {0: ("1",)}),
+                cholesky.format_rows(0, 3, {1: ("0", "1")}),
             ]
         )
 
 
 def test_assemble_merges_multiple_matrices_sorted_by_id():
-    one = cholesky.format_rows(1, 1, {0: [3.0]})
-    zero = cholesky.format_rows(0, 1, {0: [2.0]})
+    one = cholesky.format_rows(1, 1, {0: ("3",)})
+    zero = cholesky.format_rows(0, 1, {0: ("2",)})
     text = cholesky.assemble([one, zero]).decode("utf-8")
     blocks = [b for b in text.split("\n\n") if b.strip()]
     assert float(blocks[0].splitlines()[1]) == 2.0
     assert float(blocks[1].splitlines()[1]) == 3.0
+
+
+# -- the text path: no value is formatted twice ------------------------------------
+
+
+def respell(value: float, variant: int) -> str:
+    """Another spelling of value that parses to the same double."""
+    text = cholesky.format_value(value)
+    mantissa, _, exponent = text.partition("e")
+    if variant == 0:
+        return text
+    if variant == 1:  # trailing zeros
+        if "." not in mantissa:
+            mantissa += "."
+        return mantissa + "000" + (f"e{exponent}" if exponent else "")
+    if variant == 2:  # exponent form
+        return text if exponent else f"{mantissa}e0"
+    return f"+{text}" if not text.startswith("-") else text
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_respelled_input_gives_the_same_factor_bytes(p):
+    a = spd_matrix(10, seed=7)
+    a[3][3] = 2.0 * math.ceil(a[3][3])  # an integral value, so "Ne0" appears
+    lines = ["\t 10  "]
+    for i, row in enumerate(a):
+        toks = [respell(v, (i + j) % 4) for j, v in enumerate(row)]
+        lines.append("  " + " \t ".join(toks) + "\t")
+    text = "\n \n" + "\n".join(lines) + "\n\n"
+    assert cholesky.parse_matrices(text) == [a]
+    results, _ = run_parts(text.encode("utf-8"), p)
+    assert cholesky.assemble(results) == run_partitioned(a, 1)
+
+
+def test_result_rows_are_the_published_row_entries():
+    a = spd_matrix(8, seed=9)
+    results, core = run_parts(cholesky.format_matrix(a).encode("utf-8"), 2)
+    published = {
+        entry.row_index: entry.values
+        for *_, entry in core.snapshot()
+        if entry.kind == "RowEntry"
+    }
+    assert sorted(published) == list(range(8))
+    for payload in results:
+        for line in payload.decode("utf-8").splitlines()[1:]:
+            j, *tokens = line.split(" ")
+            assert tuple(tokens) == published[int(j)]
+
+
+def test_cut_parts_carry_the_input_row_text():
+    text = "2\n4.00  2e0\n2.0\t3\n"
+    parts = cholesky_rowblock(text.encode("utf-8"), 2, {})
+    assert parts == [b"part 0 0 2 2\n0 4.00  2e0\n", b"part 0 1 2 2\n1 2.0\t3\n"]
+    assert cholesky.parse_part(parts[1])[4] == {1: [2.0, 3.0]}
+
+
+factor_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e299, max_value=1.7e308),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300]),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.lists(
+                st.lists(factor_values, min_size=size, max_size=size),
+                min_size=size,
+                max_size=size,
+            ),
+            st.integers(min_value=1, max_value=size),
+        )
+    )
+)
+def test_assemble_splices_what_formatting_would_write(case):
+    size, values, p = case
+    rows = [values[j][: j + 1] for j in range(size)]
+    text = [tuple(cholesky.format_value(v) for v in row) for row in rows]
+    results = [
+        cholesky.format_rows(0, size, {j: text[j] for j in range(r, size, p)})
+        for r in range(p)
+    ]
+    full = [rows[j] + [0.0] * (size - 1 - j) for j in range(size)]
+    assert cholesky.assemble(results) == cholesky.format_matrix(full).encode("utf-8")
+
+
+def test_assemble_still_refuses_bad_results():
+    good = b"rows 0 2\n0 1.5\n1 0.25 2\n"
+    assert cholesky.assemble([good]) == b"2\n1.5 0\n0.25 2\n"
+    refused = [
+        b"rows 0 2\n0 1.5\n1 0.25 two\n",  # a token that is not a float
+        b"rows 0 2\n0 1.5\n1 0.25\n",  # a short row
+        b"rows 0 2\n0 1.5\n",  # a missing row
+        b"cols 0 2\n0 1.5\n1 0.25 2\n",  # a wrong header
+        b"rows 0 2\nx 1.5\n1 0.25 2\n",  # a row index that is not an integer
+    ]
+    for payload in refused:
+        with pytest.raises(ValueError):
+            cholesky.assemble([payload])
+    with pytest.raises(ValueError):  # conflicting sizes
+        cholesky.assemble([b"rows 0 2\n0 1.5\n", b"rows 0 3\n1 0.25 2\n"])

@@ -108,6 +108,19 @@ def test_matrix_set_rejects_garbage():
         matrix_set(b"definitely not a matrix", 1, {})
 
 
+def test_matrix_set_parts_carry_the_input_row_text():
+    data = b"1\n 2.50 \n\n2\n1e0\t0\n0  4.0\n"
+    assert matrix_set(data, 2, {}) == [
+        b"part 0 0 1 1\n0 2.50\n",
+        b"part 1 0 1 2\n0 1e0\t0\n1 0  4.0\n",
+    ]
+
+
+def test_matrix_set_still_validates_every_matrix():
+    with pytest.raises(CutFailed):
+        matrix_set(b"1\n1\n\n2\n1 2\n3 1\n", 2, {})  # the second is asymmetric
+
+
 # -- cholesky_rowblock ---------------------------------------------------------------
 
 
