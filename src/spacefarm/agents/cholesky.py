@@ -1,14 +1,17 @@
-"""Row-partitioned Cholesky factorization agent.
+"""Block-cyclic row-partitioned Cholesky factorization agent.
 
 A factorization of an L x L symmetric positive definite matrix is split into P
-tasks; task r owns the rows j with j mod P = r. The tasks iterate over columns
-in lockstep: the owner of row i completes it, publishes it as a RowEntry
-(written without a transaction so tasks inside other transactions can read
-it), and everyone else block-reads it before filling column i of their own
-rows.
+tasks. Rows are grouped into blocks of b consecutive rows, b = block_size(L, P),
+and task r owns row j when (j // b) mod P = r. The tasks walk the blocks in
+lockstep: the owner of a block completes its rows, publishes the whole block
+as one RowEntry (written without a transaction so tasks inside other
+transactions can read it), and everyone else block-reads that one entry
+before filling the block's columns of their own later rows. One space hop
+thus carries b rows.
 
 Determinism across P: every factor element is computed by the same sequence
-of float operations regardless of the partitioning, and published rows travel
+of float operations regardless of the partitioning (one sequential dot
+product over k = 0..c-1, then (a - s) / L[c][c]), and published rows travel
 as 17-significant-digit decimals, which round-trip 64-bit floats exactly. The
 assembled factor is therefore bit-identical for every worker count.
 
@@ -16,7 +19,7 @@ No value is turned into text twice. A part carries the input's own row
 lines: the cut validates the input but formats nothing, and the worker reads
 from those tokens the doubles a re-formatted part would give. A factor row is
 final once its pivot is set; it is formatted then, once, and that text is both
-the RowEntry the other tasks read and the row's line in the result. assemble
+its share of the block's RowEntry and the row's line in the result. assemble
 splices the result rows and pads them with "0". The output bytes are those of
 formatting every factor value, because format_value(float(s)) == s for every s
 that format_value wrote, and format_value(0.0) == "0".
@@ -29,7 +32,7 @@ blocks separated by blank lines.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..entries import RowEntry, Template
 from ..errors import NotPositiveDefinite, RowTimeout
@@ -40,6 +43,17 @@ DEFAULT_ROW_TIMEOUT_MS = 60_000
 
 def format_value(x: float) -> str:
     return format(x, ".17g")
+
+
+def block_size(size: int, p: int) -> int:
+    """Rows per block of a size-row factorization in p tasks."""
+    return max(1, size // (8 * p))
+
+
+def owned_rows(rank: int, p: int, size: int) -> list[int]:
+    """The rows task rank of p owns: row j when (j // b) % p == rank."""
+    b = block_size(size, p)
+    return [j for j in range(size) if (j // b) % p == rank]
 
 
 # -- matrix file format -----------------------------------------------------------
@@ -139,8 +153,7 @@ def parse_part(data: bytes) -> tuple[int, int, int, int, dict[int, list[float]]]
         if len(row) != size:
             raise ValueError(f"row {j} has {len(row)} values, expected {size}")
         rows[j] = row
-    expected = set(range(rank, size, p))
-    if set(rows) != expected:
+    if sorted(rows) != owned_rows(rank, p, size):
         raise ValueError(f"part rows {sorted(rows)} do not match rank {rank} of {p}")
     return matrix_id, rank, p, size, rows
 
@@ -190,56 +203,87 @@ def execute(data: bytes, params: dict, space=None) -> bytes:
     if p > 1 and space is None:
         raise ValueError("multi-task factorization needs space access")
 
+    b = block_size(size, p)
     owned = sorted(a_rows)
     lrows: dict[int, list[float]] = {j: [0.0] * (j + 1) for j in owned}
     factor: dict[int, tuple[str, ...]] = {}  # owned rows as text, once final
 
-    for i in range(size):
-        if i % p == rank:
-            li = lrows[i]
-            s = 0.0
-            for k in range(i):
-                s += li[k] * li[k]
-            pivot = a_rows[i][i] - s
-            if not pivot > 0.0:
-                raise NotPositiveDefinite(
-                    f"matrix {matrix_id}: pivot {pivot!r} at row {i}"
-                )
-            li[i] = math.sqrt(pivot)
-            row_i = li
-            factor[i] = tuple(format_value(v) for v in li)
+    for first in range(0, size, b):
+        block = range(first, min(first + b, size))
+        if (first // b) % p == rank:
+            for i in block:
+                li = lrows[i]
+                s = 0.0
+                for k in range(i):
+                    s += li[k] * li[k]
+                pivot = a_rows[i][i] - s
+                if not pivot > 0.0:
+                    raise NotPositiveDefinite(
+                        f"matrix {matrix_id}: pivot {pivot!r} at row {i}"
+                    )
+                li[i] = math.sqrt(pivot)
+                factor[i] = tuple(format_value(v) for v in li)
+                _fill_columns(lrows, a_rows, block[i - first + 1 :], [li], i)
+            rows = [lrows[i] for i in block]
             if p > 1:
                 space.write(
                     RowEntry(
                         case_id=case_id,
                         matrix_id=str(matrix_id),
-                        row_index=i,
-                        values=factor[i],
+                        row_index=first,
+                        values=tuple(v for i in block for v in factor[i]),
                     )
                 )
         else:
-            template = Template(
-                "RowEntry",
-                {"case_id": case_id, "matrix_id": str(matrix_id), "row_index": i},
-            )
-            entry = space.read(template, timeout_ms=row_timeout_ms)
-            if entry is None:
-                raise RowTimeout(
-                    f"row {i} of matrix {matrix_id} not published "
-                    f"within {row_timeout_ms} ms"
-                )
-            row_i = [float(v) for v in entry.values]
-        lii = row_i[i]
-        for j in owned:
-            if j <= i:
-                continue
-            lj = lrows[j]
-            s = 0.0
-            for k in range(i):
-                s += lj[k] * row_i[k]
-            lj[i] = (a_rows[j][i] - s) / lii
+            rows = _read_block(space, case_id, matrix_id, block, row_timeout_ms)
+        later = [j for j in owned if j >= block.stop]
+        _fill_columns(lrows, a_rows, later, rows, first)
 
     return format_rows(matrix_id, size, factor)
+
+
+def _fill_columns(
+    lrows: dict[int, list[float]],
+    a_rows: dict[int, list[float]],
+    targets: Iterable[int],
+    rows: list[list[float]],
+    first: int,
+) -> None:
+    """Set L[j][c] for each target row j and each finished row c of rows,
+    which are the factor rows first, first + 1, ..."""
+    for j in targets:
+        lj = lrows[j]
+        aj = a_rows[j]
+        for c, lc in enumerate(rows, first):
+            s = 0.0
+            for k in range(c):
+                s += lj[k] * lc[k]
+            lj[c] = (aj[c] - s) / lc[c]
+
+
+def _read_block(
+    space, case_id: str, matrix_id: int, block: range, row_timeout_ms: int
+) -> list[list[float]]:
+    """Wait for the block's RowEntry and split its values into factor rows."""
+    template = Template(
+        "RowEntry",
+        {"case_id": case_id, "matrix_id": str(matrix_id), "row_index": block.start},
+    )
+    entry = space.read(template, timeout_ms=row_timeout_ms)
+    if entry is None:
+        raise RowTimeout(
+            f"rows {block.start}..{block.stop - 1} of matrix {matrix_id} not "
+            f"published within {row_timeout_ms} ms"
+        )
+    values = [float(v) for v in entry.values]
+    if len(values) != sum(i + 1 for i in block):
+        raise ValueError(f"block at row {block.start} has {len(values)} values")
+    rows = []
+    at = 0
+    for i in block:
+        rows.append(values[at : at + i + 1])
+        at += i + 1
+    return rows
 
 
 def assemble(results: list[bytes]) -> bytes:

@@ -80,7 +80,11 @@ def matrix_set(data: bytes, num_parts: int, params: dict) -> list[bytes]:
 
 
 def cholesky_rowblock(data: bytes, num_parts: int, params: dict) -> list[bytes]:
-    """Round-robin row partition of a single matrix into num_parts tasks."""
+    """Block-cyclic row partition of a single matrix into num_parts tasks.
+
+    Task r owns row j when (j // b) % num_parts == r, with b from
+    cholesky.block_size, the rule the agent checks each part against.
+    """
     blocks = _matrix_blocks(data)
     if len(blocks) != 1:
         raise CutFailed(f"row partitioning expects one matrix, got {len(blocks)}")
@@ -90,7 +94,7 @@ def cholesky_rowblock(data: bytes, num_parts: int, params: dict) -> list[bytes]:
         raise CutFailed(f"part count {num_parts} does not divide dimension {size}")
     parts = []
     for rank in range(num_parts):
-        owned = {j: lines[j] for j in range(rank, size, num_parts)}
+        owned = {j: lines[j] for j in cholesky.owned_rows(rank, num_parts, size)}
         parts.append(cholesky.part_from_lines(0, rank, num_parts, size, owned))
     return parts
 

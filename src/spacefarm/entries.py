@@ -107,10 +107,13 @@ class StopEntry:
 
 @dataclass(frozen=True)
 class RowEntry:
-    """Factor row published for sibling tasks of a row-partitioned solve.
+    """A block of factor rows published for sibling tasks of a
+    row-partitioned solve.
 
-    Written without a transaction so tasks running under other transactions
-    can read it; the master sweeps leftovers when the case finishes.
+    row_index is the block's first row, and values holds the block's rows
+    in order (row j has j + 1 values). Written without a transaction so
+    tasks running under other transactions can read it; the master sweeps
+    leftovers when the case finishes.
     """
 
     kind: ClassVar[str] = "RowEntry"

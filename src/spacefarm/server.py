@@ -8,11 +8,12 @@ on every connection.  A subscription event carries the entry's kind and
 matchable fields, not its bulk data.  A lookup that finds nothing parks in
 the space as a waiter, answered later by the write, commit or abort that
 makes a match visible, by its transaction's end, or by its deadline, kept in
-a heap here.  The loop also runs the transaction sweep every `txn_sweep_ms`.
-A dropped connection's waiters are discarded and consume nothing.  Other
-threads never touch a connection: an in-process space call queues its
-messages, and `shutdown` hands over its abort and drain, both waking the
-loop through a socket pair.
+a heap here; the deadlines of lookups answered early are dropped once they
+outnumber the parked ones.  The loop also runs the transaction sweep every
+`txn_sweep_ms`.  A dropped connection's waiters are discarded and consume
+nothing.  Other threads never touch a connection: an in-process space call
+queues its messages, and `shutdown` hands over its abort and drain, both
+waking the loop through a socket pair.
 """
 
 from __future__ import annotations
@@ -305,8 +306,19 @@ class SpaceServer:
             if deadline is not None:
                 item = (deadline, id(result), result, conn, req_id)
                 heapq.heappush(self._deadlines, item)
+                self._compact_deadlines()
             return _PARKED
         return {"entry": None if result is None else entry_to_wire(result)}
+
+    def _compact_deadlines(self) -> None:
+        """Drop the deadlines of lookups answered early once they outnumber
+        the parked ones.  Each compaction removes more than half the heap,
+        and an entry is removed once, so the cost per lookup is amortised
+        O(1)."""
+        if len(self._deadlines) > 2 * self.space.parked_count():
+            is_parked = self.space.is_parked
+            self._deadlines = [d for d in self._deadlines if is_parked(d[2])]
+            heapq.heapify(self._deadlines)
 
     def _op_space_subscribe(self, conn: _Conn, params: dict[str, Any]) -> Any:
         template = Template.from_wire(params["template"])
@@ -354,7 +366,8 @@ class SpaceServer:
 
     def _case_counts(self, case_id: str) -> dict[str, Any]:
         """Task entries waiting (visible) and on (held by a worker's open
-        transaction); computed are the results the master has not collected."""
+        transaction); computed are the results the master has not collected;
+        row_entries counts published Cholesky blocks, one per block of rows."""
         kinds = ("TaskEntry", "ResultEntry", "RowEntry", "StopEntry")
         counts = {
             kind: self.space.count(Template(kind, {"case_id": case_id}))

@@ -242,6 +242,13 @@ class SpaceCore:
             self._record_lookup(waiter, None)
             return True
 
+    def parked_count(self) -> int:
+        return len(self._waiters)
+
+    def is_parked(self, waiter: Waiter) -> bool:
+        """False once the lookup was answered, expired or discarded."""
+        return waiter in self._waiters
+
     def discard(self, owner: Any) -> None:
         """Drop the owner's parked lookups (its client went away); they
         consume nothing and leave no record."""

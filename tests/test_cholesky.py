@@ -137,6 +137,42 @@ def test_partitioned_runs_are_bit_identical_to_single(p):
     assert run_partitioned(a, p) == baseline
 
 
+@pytest.mark.parametrize("size, p", [(50, 2), (51, 3), (100, 4)])
+def test_blocks_with_a_partial_last_block_are_bit_identical_to_single(size, p):
+    b = cholesky.block_size(size, p)
+    assert b > 1 and size % b != 0
+    a = spd_matrix(size, seed=17)
+    assert run_partitioned(a, p) == run_partitioned(a, 1)
+
+
+def test_benchmark_shape_is_bit_identical_to_the_sequential_factor():
+    a = spd_matrix(256, seed=1)
+    expected = cholesky.format_matrix(cholesky_oracle(a)).encode("utf-8")
+    for p in (1, 2, 4):
+        assert cholesky.block_size(256, p) == 256 // (8 * p)
+        assert run_partitioned(a, p) == expected
+
+
+def test_block_size_rule():
+    assert cholesky.block_size(256, 2) == 16
+    assert cholesky.block_size(10, 2) == 1
+    assert cholesky.block_size(50, 2) == 3
+    assert cholesky.owned_rows(1, 2, 10) == [1, 3, 5, 7, 9]  # round robin at b == 1
+    assert cholesky.owned_rows(1, 2, 32) == [j for j in range(32) if j % 4 >= 2]
+
+
+def test_parse_part_refuses_rows_off_the_block_rule():
+    size, p = 48, 2  # blocks of 3 rows
+    row = [1.0] * size
+    round_robin = {j: row for j in range(1, size, p)}
+    with pytest.raises(ValueError):
+        cholesky.parse_part(cholesky.format_part(0, 1, p, size, round_robin))
+    owned = {j: row for j in cholesky.owned_rows(1, p, size)}
+    with pytest.raises(ValueError):  # one row short
+        cholesky.parse_part(cholesky.format_part(0, 1, p, size, dict(list(owned.items())[1:])))
+    assert cholesky.parse_part(cholesky.format_part(0, 1, p, size, owned))[4] == owned
+
+
 def test_factor_reproduces_matrix():
     a = spd_matrix(10, seed=42)
     factor = parse_factor(run_partitioned(a, 2))
@@ -226,14 +262,24 @@ def test_respelled_input_gives_the_same_factor_bytes(p):
 
 
 def test_result_rows_are_the_published_row_entries():
-    a = spd_matrix(8, seed=9)
-    results, core = run_parts(cholesky.format_matrix(a).encode("utf-8"), 2)
-    published = {
+    size, p = 50, 2  # blocks of 3 rows, the last one of 2
+    a = spd_matrix(size, seed=9)
+    results, core = run_parts(cholesky.format_matrix(a).encode("utf-8"), p)
+    blocks = {
         entry.row_index: entry.values
         for *_, entry in core.snapshot()
         if entry.kind == "RowEntry"
     }
-    assert sorted(published) == list(range(8))
+    b = cholesky.block_size(size, p)
+    assert b == 3 and sorted(blocks) == list(range(0, size, b))
+    published = {}
+    for first, values in blocks.items():
+        at = 0
+        for j in range(first, min(first + b, size)):
+            published[j] = values[at : at + j + 1]
+            at += j + 1
+        assert at == len(values)
+    assert sorted(published) == list(range(size))
     for payload in results:
         for line in payload.decode("utf-8").splitlines()[1:]:
             j, *tokens = line.split(" ")

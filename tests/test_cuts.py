@@ -137,6 +137,20 @@ def test_cholesky_rowblock_round_robin_ownership():
             assert row == a[j]
 
 
+def test_cholesky_rowblock_block_cyclic_ownership():
+    size, p = 50, 2  # blocks of 3 rows, the last one of 2
+    a = spd_matrix(size, seed=4)
+    parts = cholesky_rowblock(cholesky.format_matrix(a).encode("utf-8"), p, {})
+    owned = []
+    for rank, payload in enumerate(parts):
+        _, task_rank, _, _, rows = cholesky.parse_part(payload)
+        assert task_rank == rank
+        assert sorted(rows) == [j for j in range(size) if (j // 3) % p == rank]
+        assert all(row == a[j] for j, row in rows.items())
+        owned += rows
+    assert sorted(owned) == list(range(size))
+
+
 def test_cholesky_rowblock_rejects_indivisible_dimension():
     data = cholesky.format_matrix(spd_matrix(5, seed=4)).encode("utf-8")
     with pytest.raises(CutFailed):

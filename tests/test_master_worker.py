@@ -107,6 +107,28 @@ def test_cholesky_case_matches_sequential_factorization(tmp_path, address):
     assert factor == cholesky_oracle(a)
 
 
+def test_cholesky_case_in_blocks_of_rows_matches_sequential_factorization(
+    tmp_path, address
+):
+    a = spd_matrix(48, seed=12)  # P=2 gives blocks of 3 rows
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=cholesky.format_matrix(a).encode("utf-8"),
+        agent_id="cholesky-rowblock",
+        cut_name="cholesky_rowblock",
+        num_parts=2,
+        initial_workers=2,
+        agent_params={"row_timeout_ms": 20_000},
+    )
+    report = run_case_with_workers(config, 2, tmp_path)
+    assert report.results == 2 and report.replays == 0
+    from conftest import cholesky_oracle
+
+    with open(config.output_path, "rb") as fh:
+        assert fh.read() == cholesky.format_matrix(cholesky_oracle(a)).encode("utf-8")
+
+
 def test_a_case_holds_one_connection_per_process(tmp_path, server, address):
     """The master and each worker hold one connection: the master's
     subscription and the agents' row reads share it."""

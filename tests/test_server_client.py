@@ -250,6 +250,30 @@ def test_parked_take_ends_with_its_transaction(address, session, ending):
         holder.close()
 
 
+def test_answered_lookups_leave_the_deadline_heap(server, session):
+    """A parked read answered long before its deadline does not stay in the
+    server's deadline heap until then."""
+    for i in range(200):
+        template = Template("StopEntry", {"case_id": f"early-{i}"})
+        entry, _ = session.batch([
+            read_request(template, timeout_ms=60_000),  # parks, then the write answers it
+            write_request(StopEntry(case_id=f"early-{i}")),
+        ])
+        assert entry == StopEntry(case_id=f"early-{i}")
+    assert len(server._deadlines) <= 4
+
+
+def test_a_parked_read_still_expires_at_its_deadline(session):
+    for i in range(10):  # answered lookups, so the heap is compacted around it
+        session.batch([
+            read_request(Template("StopEntry", {"case_id": f"answered-{i}"}), timeout_ms=60_000),
+            write_request(StopEntry(case_id=f"answered-{i}")),
+        ])
+    started = time.monotonic()
+    assert session.read(Template("StopEntry", {"case_id": "late"}), timeout_ms=300) is None
+    assert 0.25 <= time.monotonic() - started < 5.0
+
+
 def test_one_server_thread_and_a_clean_shutdown():
     def server_threads():
         names = ("space-", "txn-")
