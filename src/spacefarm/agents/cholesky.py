@@ -1,28 +1,38 @@
 """Block-cyclic row-partitioned Cholesky factorization agent.
 
 A factorization of an L x L symmetric positive definite matrix is split into P
-tasks. Rows are grouped into blocks of b consecutive rows, b = block_size(L, P),
-and task r owns row j when (j // b) mod P = r. The tasks walk the blocks in
-lockstep: the owner of a block completes its rows, publishes the whole block
-as one RowEntry (written without a transaction so tasks inside other
-transactions can read it), and everyone else block-reads that one entry
-before filling the block's columns of their own later rows. One space hop
-thus carries b rows.
+tasks, for any P <= L. Rows are grouped into blocks of b consecutive rows,
+b = block_size(L, P), and task r owns row j when (j // b) mod P = r. The
+owner of a block completes its rows and publishes the whole block as one
+RowEntry (written without a transaction so tasks inside other transactions
+can read it); everyone else block-reads that one entry. One space hop thus
+carries b rows.
+
+The tasks look one block ahead. A block read from a sibling fills its
+columns into the task's next owned block only, and waits in a queue. When
+the task reaches that block, it computes the block's pivots and publishes
+it first; only then does it fill the queued blocks' columns, and its own,
+into its later rows, in column order. A sibling waiting on the block thus
+waits for its pivots, not for the trailing fill. A task stops after its last
+owned block, since no later block has a column it needs.
 
 Determinism across P: every factor element is computed by the same sequence
-of float operations regardless of the partitioning (one sequential dot
-product over k = 0..c-1, then (a - s) / L[c][c]), and published rows travel
-as 17-significant-digit decimals, which round-trip 64-bit floats exactly. The
-assembled factor is therefore bit-identical for every worker count.
+of float operations regardless of the partitioning or of the fill order (one
+sequential dot product over k = 0..c-1, then (a - s) / L[c][c]), and
+published rows travel as 17-significant-digit decimals, which round-trip
+64-bit floats exactly. The assembled factor is therefore bit-identical for
+every worker count.
 
-No value is turned into text twice. A part carries the input's own row
-lines: the cut validates the input but formats nothing, and the worker reads
-from those tokens the doubles a re-formatted part would give. A factor row is
-final once its pivot is set; it is formatted then, once, and that text is both
-its share of the block's RowEntry and the row's line in the result. assemble
-splices the result rows and pads them with "0". The output bytes are those of
-formatting every factor value, because format_value(float(s)) == s for every s
-that format_value wrote, and format_value(0.0) == "0".
+No value is turned into text twice. A part carries the lower triangle of
+its rows, row j's j + 1 values, as the input's own tokens: the agent never
+reads a[j][c] for c > j. The cut validates the whole input but formats
+nothing, and the worker reads from those tokens the doubles a re-formatted
+part would give. A factor row is final once its pivot is set; it is
+formatted then, once, and that text is both its share of the block's
+RowEntry, one space-separated string, and the row's line in the result.
+assemble splices the result rows and pads them with "0". The output bytes are
+those of formatting every factor value, because format_value(float(s)) == s
+for every s that format_value wrote, and format_value(0.0) == "0".
 
 All matrix I/O is text: a matrix file is the dimension on the first line and
 one whitespace-separated row per line; a multi-channel file holds several such
@@ -59,7 +69,9 @@ def owned_rows(rank: int, p: int, size: int) -> list[int]:
 # -- matrix file format -----------------------------------------------------------
 
 
-def parse_matrix_block(lines: list[str]) -> list[list[float]]:
+def split_matrix_block(lines: list[str]) -> tuple[list[list[str]], list[list[float]]]:
+    """Validate a matrix block, dimension line first, and return each row's
+    tokens and values."""
     if not lines:
         raise ValueError("empty matrix block")
     try:
@@ -70,17 +82,17 @@ def parse_matrix_block(lines: list[str]) -> list[list[float]]:
         raise ValueError(f"matrix dimension must be positive, got {size}")
     if len(lines) != size + 1:
         raise ValueError(f"expected {size} rows, got {len(lines) - 1}")
+    tokens = [line.split() for line in lines[1:]]
     rows = []
-    for line in lines[1:]:
-        row = [float(tok) for tok in line.split()]
-        if len(row) != size:
-            raise ValueError(f"expected {size} values per row, got {len(row)}")
-        rows.append(row)
+    for toks in tokens:
+        if len(toks) != size:
+            raise ValueError(f"expected {size} values per row, got {len(toks)}")
+        rows.append([float(tok) for tok in toks])
     for i in range(size):
         for j in range(i):
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    return rows
+    return tokens, rows
 
 
 def matrix_blocks(text: str) -> list[list[str]]:
@@ -104,7 +116,7 @@ def matrix_blocks(text: str) -> list[list[str]]:
 
 def parse_matrices(text: str) -> list[list[list[float]]]:
     """Parse a matrix file into its blocks (one per blank-line-separated matrix)."""
-    return [parse_matrix_block(b) for b in matrix_blocks(text)]
+    return [split_matrix_block(b)[1] for b in matrix_blocks(text)]
 
 
 def format_matrix(rows: list[list[float]]) -> str:
@@ -121,17 +133,18 @@ def format_matrix(rows: list[list[float]]) -> str:
 def format_part(
     matrix_id: int, rank: int, p: int, size: int, rows: dict[int, list[float]]
 ) -> bytes:
-    lines = {j: " ".join(format_value(v) for v in row) for j, row in rows.items()}
-    return part_from_lines(matrix_id, rank, p, size, lines)
+    """A part of the matrix rows; row j is sent as its j + 1 lower-triangle values."""
+    tokens = {j: [format_value(v) for v in row[: j + 1]] for j, row in rows.items()}
+    return part_from_tokens(matrix_id, rank, p, size, tokens)
 
 
-def part_from_lines(
-    matrix_id: int, rank: int, p: int, size: int, lines: dict[int, str]
+def part_from_tokens(
+    matrix_id: int, rank: int, p: int, size: int, rows: dict[int, Sequence[str]]
 ) -> bytes:
-    """A part whose row j is the text lines[j], whitespace-separated values."""
+    """A part whose row j is the lower-triangle tokens rows[j][: j + 1]."""
     out = [f"part {matrix_id} {rank} {p} {size}"]
-    for j in sorted(lines):
-        out.append(f"{j} {lines[j]}")
+    for j in sorted(rows):
+        out.append(f"{j} " + " ".join(rows[j][: j + 1]))
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
@@ -150,8 +163,8 @@ def parse_part(data: bytes) -> tuple[int, int, int, int, dict[int, list[float]]]
         toks = line.split()
         j = int(toks[0])
         row = [float(t) for t in toks[1:]]
-        if len(row) != size:
-            raise ValueError(f"row {j} has {len(row)} values, expected {size}")
+        if len(row) != j + 1:
+            raise ValueError(f"row {j} has {len(row)} values, expected {j + 1}")
         rows[j] = row
     if sorted(rows) != owned_rows(rank, p, size):
         raise ValueError(f"part rows {sorted(rows)} do not match rank {rank} of {p}")
@@ -207,37 +220,43 @@ def execute(data: bytes, params: dict, space=None) -> bytes:
     owned = sorted(a_rows)
     lrows: dict[int, list[float]] = {j: [0.0] * (j + 1) for j in owned}
     factor: dict[int, tuple[str, ...]] = {}  # owned rows as text, once final
+    # Blocks read since the last owned one, filled into the next owned block only.
+    pending: list[tuple[int, list[list[float]]]] = []
 
-    for first in range(0, size, b):
+    for first in range(0, owned[-1] + 1, b):
         block = range(first, min(first + b, size))
-        if (first // b) % p == rank:
-            for i in block:
-                li = lrows[i]
-                s = 0.0
-                for k in range(i):
-                    s += li[k] * li[k]
-                pivot = a_rows[i][i] - s
-                if not pivot > 0.0:
-                    raise NotPositiveDefinite(
-                        f"matrix {matrix_id}: pivot {pivot!r} at row {i}"
-                    )
-                li[i] = math.sqrt(pivot)
-                factor[i] = tuple(format_value(v) for v in li)
-                _fill_columns(lrows, a_rows, block[i - first + 1 :], [li], i)
-            rows = [lrows[i] for i in block]
-            if p > 1:
-                space.write(
-                    RowEntry(
-                        case_id=case_id,
-                        matrix_id=str(matrix_id),
-                        row_index=first,
-                        values=tuple(v for i in block for v in factor[i]),
-                    )
-                )
-        else:
-            rows = _read_block(space, case_id, matrix_id, block, row_timeout_ms)
         later = [j for j in owned if j >= block.stop]
-        _fill_columns(lrows, a_rows, later, rows, first)
+        if (first // b) % p != rank:
+            rows = _read_block(space, case_id, matrix_id, block, row_timeout_ms)
+            _fill_columns(lrows, a_rows, later[:b], rows, first)
+            pending.append((first, rows))
+            continue
+        for i in block:
+            li = lrows[i]
+            s = 0.0
+            for k in range(i):
+                s += li[k] * li[k]
+            pivot = a_rows[i][i] - s
+            if not pivot > 0.0:
+                raise NotPositiveDefinite(
+                    f"matrix {matrix_id}: pivot {pivot!r} at row {i}"
+                )
+            li[i] = math.sqrt(pivot)
+            factor[i] = tuple(format_value(v) for v in li)
+            _fill_columns(lrows, a_rows, block[i - first + 1 :], [li], i)
+        if p > 1:
+            space.write(
+                RowEntry(
+                    case_id=case_id,
+                    matrix_id=str(matrix_id),
+                    row_index=first,
+                    values=" ".join(v for i in block for v in factor[i]),
+                )
+            )
+        pending.append((first, [lrows[i] for i in block]))
+        for column, rows in pending:
+            _fill_columns(lrows, a_rows, later, rows, column)
+        pending = []
 
     return format_rows(matrix_id, size, factor)
 
@@ -275,7 +294,7 @@ def _read_block(
             f"rows {block.start}..{block.stop - 1} of matrix {matrix_id} not "
             f"published within {row_timeout_ms} ms"
         )
-    values = [float(v) for v in entry.values]
+    values = [float(v) for v in entry.values.split()]
     if len(values) != sum(i + 1 for i in block):
         raise ValueError(f"block at row {block.start} has {len(values)} values")
     rows = []

@@ -52,50 +52,48 @@ def byte_chunk(data: bytes, num_parts: int, params: dict) -> list[bytes]:
     return parts
 
 
-def _matrix_blocks(data: bytes) -> list[list[str]]:
-    """The input's matrix blocks as stripped lines, dimension first.
+def _matrix_tokens(data: bytes) -> list[list[list[str]]]:
+    """The input's matrices, each as its rows' tokens.
 
-    Every block is parsed once to validate it; parts then carry the row lines
+    Every matrix is parsed once to validate it; parts then carry the tokens
     as written, so no value is formatted again.
     """
     try:
         blocks = cholesky.matrix_blocks(data.decode("utf-8"))
-        for block in blocks:
-            cholesky.parse_matrix_block(block)
+        return [cholesky.split_matrix_block(block)[0] for block in blocks]
     except (UnicodeDecodeError, ValueError) as exc:
         raise CutFailed(str(exc)) from exc
-    return blocks
 
 
 def matrix_set(data: bytes, num_parts: int, params: dict) -> list[bytes]:
     """One whole matrix per part; each task runs its own full factorization."""
-    blocks = _matrix_blocks(data)
-    if len(blocks) != num_parts:
-        raise CutFailed(f"input holds {len(blocks)} matrices, config says {num_parts}")
-    parts = []
-    for index, block in enumerate(blocks):
-        lines = dict(enumerate(block[1:]))
-        parts.append(cholesky.part_from_lines(index, 0, 1, len(lines), lines))
-    return parts
+    matrices = _matrix_tokens(data)
+    if len(matrices) != num_parts:
+        raise CutFailed(f"input holds {len(matrices)} matrices, config says {num_parts}")
+    return [
+        cholesky.part_from_tokens(index, 0, 1, len(rows), dict(enumerate(rows)))
+        for index, rows in enumerate(matrices)
+    ]
 
 
 def cholesky_rowblock(data: bytes, num_parts: int, params: dict) -> list[bytes]:
     """Block-cyclic row partition of a single matrix into num_parts tasks.
 
     Task r owns row j when (j // b) % num_parts == r, with b from
-    cholesky.block_size, the rule the agent checks each part against.
+    cholesky.block_size, the rule the agent checks each part against. Any
+    num_parts up to the dimension gives every task at least one block.
     """
-    blocks = _matrix_blocks(data)
-    if len(blocks) != 1:
-        raise CutFailed(f"row partitioning expects one matrix, got {len(blocks)}")
-    lines = blocks[0][1:]
-    size = len(lines)
-    if size % num_parts != 0:
-        raise CutFailed(f"part count {num_parts} does not divide dimension {size}")
+    matrices = _matrix_tokens(data)
+    if len(matrices) != 1:
+        raise CutFailed(f"row partitioning expects one matrix, got {len(matrices)}")
+    rows = matrices[0]
+    size = len(rows)
+    if num_parts > size:
+        raise CutFailed(f"cannot cut a dimension of {size} into {num_parts} parts")
     parts = []
     for rank in range(num_parts):
-        owned = {j: lines[j] for j in cholesky.owned_rows(rank, num_parts, size)}
-        parts.append(cholesky.part_from_lines(0, rank, num_parts, size, owned))
+        owned = {j: rows[j] for j in cholesky.owned_rows(rank, num_parts, size)}
+        parts.append(cholesky.part_from_tokens(0, rank, num_parts, size, owned))
     return parts
 
 

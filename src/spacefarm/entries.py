@@ -10,9 +10,10 @@ the part's data. A worker claims it by taking it under its own transaction,
 so no two workers can hold it; an abort puts it back, and a commit consumes
 it for good.
 
-Payload-like fields (``payload``, ``values``) are opaque to the matcher:
-templates may only constrain scalar fields. A subscription event carries an
-entry's ``event_fields``: its kind and matchable fields, never its bulk data.
+Payload-like fields (``payload``, ``values``) are single strings, opaque to
+the matcher: templates may only constrain scalar fields. A subscription event
+carries an entry's ``event_fields``: its kind and matchable fields, never its
+bulk data.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ class RowEntry:
     row-partitioned solve.
 
     row_index is the block's first row, and values holds the block's rows
-    in order (row j has j + 1 values). Written without a transaction so
+    in order (row j has j + 1 values) as one string of space-separated
+    decimals, which round-trip exact. Written without a transaction so
     tasks running under other transactions can read it; the master sweeps
     leftovers when the case finishes.
     """
@@ -120,7 +122,7 @@ class RowEntry:
     case_id: str
     matrix_id: str
     row_index: int
-    values: tuple[str, ...] = ()  # decimal text, round-trip exact
+    values: str = ""
 
 
 Entry = (
@@ -162,9 +164,7 @@ def entry_to_wire(entry: Entry) -> dict[str, Any]:
     obj: dict[str, Any] = {"kind": entry.kind}
     for f in fields(entry):
         value = getattr(entry, f.name)
-        if f.name == "values":
-            value = list(value)
-        elif f.name == "agent_params":
+        if f.name == "agent_params":
             value = dict(value)
         obj[f.name] = value
     return obj
@@ -180,9 +180,9 @@ def entry_from_wire(obj: dict[str, Any]) -> Entry:
         if f.name not in obj:
             raise ValueError(f"{kind} missing field {f.name!r}")
         value = obj[f.name]
-        if f.name == "values":
-            value = tuple(str(v) for v in value)
-        elif f.name in ("part_index", "num_parts", "row_index", "lease_ms"):
+        if f.name in _UNMATCHABLE_FIELDS and not isinstance(value, str):
+            raise ValueError(f"{kind} field {f.name!r} must be text")
+        if f.name in ("part_index", "num_parts", "row_index", "lease_ms"):
             value = int(value)
         kwargs[f.name] = value
     return cls(**kwargs)

@@ -30,7 +30,9 @@ CLAIM_LEASE_MS while the take waits, then at the task's lease, every third
 of the lease T last got, so a dead worker is detected by expiry. Any abort,
 by expiry, by the worker itself or by an injected fault, restores the task,
 and the next free worker claims it again. A worker whose renewal of T
-failed abandons the task before the agent starts or after it ends. A stop
+failed abandons the task before the agent starts or after it ends. A task
+whose payload does not decode fails like an agent: the worker aborts T, and
+the master counts the restore toward max_attempts. A stop
 aborts a waiting claim's T, which answers the take at once; a worker that
 holds a task finishes or abandons it first, and its publish batch then
 takes no next task.
@@ -79,6 +81,7 @@ from .errors import (
     ConfigError,
     ConnectionFailed,
     FrameTooLarge,
+    MalformedPayload,
     SessionClosed,
     SpacefarmError,
     TxnNotOpen,
@@ -351,7 +354,10 @@ class Worker:
         )
         if heartbeat.lost(txn):
             return self._abandon(session, task, txn, "lease-lost")
-        data = decode_payload(task.payload)
+        try:
+            data = decode_payload(task.payload)
+        except MalformedPayload as exc:
+            return self._abandon(session, task, txn, f"malformed-payload: {exc}")
         self._emit("file-read", task, txn)
         params = dict(config.agent_params)
         params[CASE_ID_PARAM] = task.case_id

@@ -11,10 +11,13 @@ import threading
 import mpmath
 import pytest
 
+from spacefarm.agents import CASE_ID_PARAM, cholesky
 from spacefarm.client import Session
+from spacefarm.cuts import cholesky_rowblock
 from spacefarm.execlog import ExecLog
 from spacefarm.master import CaseConfig, Master
 from spacefarm.server import SpaceServer
+from spacefarm.space import SpaceCore
 from spacefarm.worker import FaultInjector, Worker
 
 
@@ -101,6 +104,44 @@ def spd_matrix(size: int, seed: int) -> list[list[float]]:
     for i in range(size):
         a[i][i] += float(size)
     return a
+
+
+# -- in-process Cholesky tasks -------------------------------------------------------
+
+
+def run_parts(data, p, case_id="chol-test"):
+    """Execute all p tasks of one factorization of the matrix file data in
+    parallel threads sharing an in-process space; return each rank's result
+    and the space."""
+    parts = cholesky_rowblock(data, p, {})
+    core = SpaceCore()
+    params = {CASE_ID_PARAM: case_id, "row_timeout_ms": 20_000}
+    results: dict[int, bytes] = {}
+    errors = []
+
+    def task(rank, payload):
+        try:
+            results[rank] = cholesky.execute(payload, params, core)
+        except Exception as exc:  # surfaced after join
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=task, args=(rank, payload), daemon=True)
+        for rank, payload in enumerate(parts)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not errors, errors
+    return [results[rank] for rank in range(p)], core
+
+
+def run_partitioned(a, p, case_id="chol-test"):
+    """Factor the matrix a in p tasks and assemble the factor."""
+    data = cholesky.format_matrix(a).encode("utf-8")
+    results, _ = run_parts(data, p, case_id)
+    return cholesky.assemble(results)
 
 
 # -- in-process cluster runner -------------------------------------------------------

@@ -7,46 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cholesky_oracle, spd_matrix
+from conftest import cholesky_oracle, run_partitioned, run_parts, spd_matrix
 from spacefarm.agents import CASE_ID_PARAM, cholesky
 from spacefarm.cuts import cholesky_rowblock
 from spacefarm.errors import NotPositiveDefinite, RowTimeout
 from spacefarm.space import SpaceCore
-
-
-def run_parts(data, p, case_id="chol-test"):
-    """Execute all p tasks of one factorization of the matrix file data in
-    parallel threads sharing an in-process space; return each rank's result
-    and the space."""
-    parts = cholesky_rowblock(data, p, {})
-    core = SpaceCore()
-    params = {CASE_ID_PARAM: case_id, "row_timeout_ms": 20_000}
-    results: dict[int, bytes] = {}
-    errors = []
-
-    def task(rank, payload):
-        try:
-            results[rank] = cholesky.execute(payload, params, core)
-        except Exception as exc:  # surfaced after join
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=task, args=(rank, payload), daemon=True)
-        for rank, payload in enumerate(parts)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not errors, errors
-    return [results[rank] for rank in range(p)], core
-
-
-def run_partitioned(a, p, case_id="chol-test"):
-    """Factor the matrix a in p tasks and assemble the factor."""
-    data = cholesky.format_matrix(a).encode("utf-8")
-    results, _ = run_parts(data, p, case_id)
-    return cholesky.assemble(results)
 
 
 def parse_factor(output: bytes) -> list[list[float]]:
@@ -170,7 +135,10 @@ def test_parse_part_refuses_rows_off_the_block_rule():
     owned = {j: row for j in cholesky.owned_rows(1, p, size)}
     with pytest.raises(ValueError):  # one row short
         cholesky.parse_part(cholesky.format_part(0, 1, p, size, dict(list(owned.items())[1:])))
-    assert cholesky.parse_part(cholesky.format_part(0, 1, p, size, owned))[4] == owned
+    lower = {j: row[: j + 1] for j, row in owned.items()}
+    assert cholesky.parse_part(cholesky.format_part(0, 1, p, size, owned))[4] == lower
+    with pytest.raises(ValueError):  # a full row where the lower triangle belongs
+        cholesky.parse_part(b"part 0 0 1 2\n0 1 0\n1 0 1\n")
 
 
 def test_factor_reproduces_matrix():
@@ -266,7 +234,7 @@ def test_result_rows_are_the_published_row_entries():
     a = spd_matrix(size, seed=9)
     results, core = run_parts(cholesky.format_matrix(a).encode("utf-8"), p)
     blocks = {
-        entry.row_index: entry.values
+        entry.row_index: entry.values.split(" ")
         for *_, entry in core.snapshot()
         if entry.kind == "RowEntry"
     }
@@ -283,14 +251,59 @@ def test_result_rows_are_the_published_row_entries():
     for payload in results:
         for line in payload.decode("utf-8").splitlines()[1:]:
             j, *tokens = line.split(" ")
-            assert tuple(tokens) == published[int(j)]
+            assert tokens == published[int(j)]
 
 
 def test_cut_parts_carry_the_input_row_text():
     text = "2\n4.00  2e0\n2.0\t3\n"
     parts = cholesky_rowblock(text.encode("utf-8"), 2, {})
-    assert parts == [b"part 0 0 2 2\n0 4.00  2e0\n", b"part 0 1 2 2\n1 2.0\t3\n"]
+    assert parts == [b"part 0 0 2 2\n0 4.00\n", b"part 0 1 2 2\n1 2.0 3\n"]
     assert cholesky.parse_part(parts[1])[4] == {1: [2.0, 3.0]}
+
+
+@pytest.mark.parametrize("size, p", [(64, 2), (48, 3)])
+def test_a_task_publishes_its_next_block_before_the_trailing_fill(monkeypatch, size, p):
+    """Between reading block k and writing block k + 1, a task fills only
+    block k + 1's rows: filling its later rows waits until the write."""
+    b = cholesky.block_size(size, p)
+    log = []  # (thread, event, rows or first row)
+    fill, read, write = cholesky._fill_columns, SpaceCore.read, SpaceCore.write
+
+    def recording_fill(lrows, a_rows, targets, rows, first):
+        targets = list(targets)
+        log.append((threading.get_ident(), "fill", targets))
+        fill(lrows, a_rows, targets, rows, first)
+
+    def recording_read(core, template, *args, **kwargs):
+        entry = read(core, template, *args, **kwargs)
+        log.append((threading.get_ident(), "read", entry.row_index))
+        return entry
+
+    def recording_write(core, entry, *args, **kwargs):
+        log.append((threading.get_ident(), "write", entry.row_index))
+        return write(core, entry, *args, **kwargs)
+
+    monkeypatch.setattr(cholesky, "_fill_columns", recording_fill)
+    monkeypatch.setattr(SpaceCore, "read", recording_read)
+    monkeypatch.setattr(SpaceCore, "write", recording_write)
+    a = spd_matrix(size, seed=5)
+    results, _ = run_parts(cholesky.format_matrix(a).encode("utf-8"), p)
+    expected = cholesky.format_matrix(cholesky_oracle(a)).encode("utf-8")
+    assert cholesky.assemble(results) == expected
+
+    checked = 0
+    for task in {thread for thread, _, _ in log}:
+        events = [(event, rows) for thread, event, rows in log if thread == task]
+        hops = [at for at, (event, _) in enumerate(events) if event != "fill"]
+        for at, after in zip(hops, hops[1:]):
+            (event, first), (next_event, next_first) = events[at], events[after]
+            if (event, next_event, next_first) != ("read", "write", first + b):
+                continue
+            next_block = set(range(first + b, first + 2 * b))
+            for _, rows in events[at + 1 : after]:
+                assert set(rows) <= next_block, (first, rows)
+            checked += 1
+    assert checked >= size // b // p - 1
 
 
 factor_values = st.one_of(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import spd_matrix
+from conftest import run_partitioned, spd_matrix
 from spacefarm.agents import cholesky
 from spacefarm.cuts import (
     bbp_range,
@@ -112,7 +112,7 @@ def test_matrix_set_parts_carry_the_input_row_text():
     data = b"1\n 2.50 \n\n2\n1e0\t0\n0  4.0\n"
     assert matrix_set(data, 2, {}) == [
         b"part 0 0 1 1\n0 2.50\n",
-        b"part 1 0 1 2\n0 1e0\t0\n1 0  4.0\n",
+        b"part 1 0 1 2\n0 1e0\n1 0 4.0\n",
     ]
 
 
@@ -134,7 +134,7 @@ def test_cholesky_rowblock_round_robin_ownership():
         assert (matrix_id, task_rank, p, size) == (0, rank, 3, 6)
         assert sorted(rows) == list(range(rank, 6, 3))
         for j, row in rows.items():
-            assert row == a[j]
+            assert row == a[j][: j + 1]
 
 
 def test_cholesky_rowblock_block_cyclic_ownership():
@@ -146,15 +146,18 @@ def test_cholesky_rowblock_block_cyclic_ownership():
         _, task_rank, _, _, rows = cholesky.parse_part(payload)
         assert task_rank == rank
         assert sorted(rows) == [j for j in range(size) if (j // 3) % p == rank]
-        assert all(row == a[j] for j, row in rows.items())
+        assert all(row == a[j][: j + 1] for j, row in rows.items())
         owned += rows
     assert sorted(owned) == list(range(size))
 
 
-def test_cholesky_rowblock_rejects_indivisible_dimension():
+def test_cholesky_rowblock_cuts_any_part_count_up_to_the_dimension():
+    a = spd_matrix(50, seed=4)  # 3 does not divide 50
+    assert run_partitioned(a, 3) == run_partitioned(a, 1)
     data = cholesky.format_matrix(spd_matrix(5, seed=4)).encode("utf-8")
+    assert len(cholesky_rowblock(data, 5, {})) == 5
     with pytest.raises(CutFailed):
-        cholesky_rowblock(data, 2, {})
+        cholesky_rowblock(data, 6, {})
 
 
 def test_cholesky_rowblock_rejects_multiple_matrices():

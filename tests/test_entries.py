@@ -28,13 +28,24 @@ def sample_entries():
         ConfigurationEntry("case-a", "echo", "1", {"delay_ms": "0"}, 4),
         StopEntry("case-a"),
         TaskEntry("case-a", 0, 30_000, "echo", encode_payload(b"hello")),
-        RowEntry("case-a", "0", 3, ("1", "0.5", "-2.25e-1")),
+        RowEntry("case-a", "0", 3, "1 0.5 -2.25e-1"),
     ]
 
 
 def test_wire_roundtrip_every_kind():
     for entry in sample_entries():
         assert entry_from_wire(entry_to_wire(entry)) == entry
+
+
+def test_wire_refuses_bulk_fields_that_are_not_text():
+    row = entry_to_wire(RowEntry("case-a", "0", 1, "1 0.5"))
+    assert row["values"] == "1 0.5"
+    for bad in (["1", "0.5"], 1.5, None):
+        with pytest.raises(ValueError):
+            entry_from_wire({**row, "values": bad})
+    task = entry_to_wire(TaskEntry("case-a", 0, 30_000, "echo", encode_payload(b"x")))
+    with pytest.raises(ValueError):
+        entry_from_wire({**task, "payload": list(b"x")})
 
 
 def test_wire_rejects_unknown_kind_and_missing_field():

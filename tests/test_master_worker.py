@@ -5,6 +5,7 @@ in the harness tests; here we exercise the transactional replay paths.
 
 import json
 import os
+import queue
 import random
 import subprocess
 import sys
@@ -25,9 +26,12 @@ from spacefarm import transactions, wire
 from spacefarm.agents import AgentDescriptor, _REGISTRY, _bbp_py, bbp, cholesky, register
 from spacefarm.client import Session
 from spacefarm.entries import (
+    ConfigurationEntry,
     ResultEntry,
+    StopEntry,
     TaskEntry,
     Template,
+    decode_payload,
     encode_payload,
     entry_to_wire,
     new_entry_id,
@@ -277,6 +281,45 @@ def test_failing_agent_exhausts_attempts(tmp_path, address, session):
         assert configuration(session, config.case_id) is None
     finally:
         del _REGISTRY[descriptor.key]
+
+
+def test_a_malformed_task_payload_kills_no_worker(tmp_path, address, session):
+    restores: queue.Queue = queue.Queue()
+    session.subscribe(
+        Template("TaskEntry", {"case_id": "bad"}), lambda seq, fields: restores.put(seq)
+    )
+    session.write(ConfigurationEntry("bad", "echo", "1", {}, 1))
+    session.write(TaskEntry("bad", 0, 10_000, "echo", "!!not base64!!"))
+    restores.get(timeout=5)  # the write itself
+    with running_workers(address, 2, tmp_path) as threads:
+        for _ in range(2):  # two failed attempts: each worker has met the task
+            restores.get(timeout=10)
+        session.write(ConfigurationEntry("good", "echo", "1", {}, 1))
+        session.write(TaskEntry("good", 0, 10_000, "echo", encode_payload(b"still here")))
+        result = session.take(
+            Template("ResultEntry", {"case_id": "good"}), timeout_ms=10_000
+        )
+        assert result is not None and decode_payload(result.payload) == b"still here"
+        assert all(thread.is_alive() for thread in threads)
+        # End the bad case, so the next claim of its task drops it.
+        session.take(Template("ConfigurationEntry", {"case_id": "bad"}))
+        session.write(StopEntry("bad"))
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_a_malformed_task_payload_fails_the_case_after_max_attempts(
+    tmp_path, address, session, monkeypatch
+):
+    monkeypatch.setattr("spacefarm.master.encode_payload", lambda data: "!!not base64!!")
+    config = make_case_config(
+        tmp_path, address, input_bytes=b"xxxx", num_parts=2, max_attempts=3
+    )
+    with running_workers(address, 2, tmp_path) as threads:
+        with pytest.raises(MaxAttemptsExceeded):
+            Master(config).run()
+        assert all(thread.is_alive() for thread in threads)
+    assert task_counts(session, config.case_id) == NO_TASKS
+    assert configuration(session, config.case_id) is None
 
 
 def test_queue_time_does_not_count_against_the_lease(tmp_path, address):

@@ -24,6 +24,7 @@ from spacefarm.entries import (
     TaskEntry,
     Template,
     encode_payload,
+    entry_to_wire,
     new_entry_id,
 )
 from spacefarm.errors import (
@@ -350,10 +351,18 @@ def test_a_row_event_carries_no_values(session):
     session.subscribe(
         Template("RowEntry", {"case_id": "ev"}), lambda seq, fields: inbox.put(fields)
     )
-    session.write(RowEntry("ev", "m", 2, ("1", "0.5")))
+    session.write(RowEntry("ev", "m", 2, "1 0.5"))
     assert inbox.get(timeout=5) == {
         "kind": "RowEntry", "case_id": "ev", "matrix_id": "m", "row_index": 2,
     }
+
+
+@pytest.mark.parametrize("values", [["1", "0.5"], 1.5, None])
+def test_a_row_entry_whose_values_are_not_text_is_refused(session, values):
+    entry = {**entry_to_wire(RowEntry("codec", "m", 0, "1 0.5")), "values": values}
+    with pytest.raises(BadRequest):
+        session.call("space.write", {"entry": entry})
+    assert session.read(Template("RowEntry", {"case_id": "codec"})) is None
 
 
 def test_the_server_turns_nagle_off_on_accepted_sockets(server, session):
@@ -448,8 +457,11 @@ def test_admin_status_reports_counts(session):
 
 
 # spacefarm/1 still had entry leases and transaction-scoped subscriptions;
-# spacefarm/2 had no transaction ids chosen by the client.
-@pytest.mark.parametrize("hello", ["otherproto/9", "spacefarm/1", "spacefarm/2"])
+# spacefarm/2 had no transaction ids chosen by the client; spacefarm/3 sent a
+# RowEntry's values as a list of strings.
+@pytest.mark.parametrize(
+    "hello", ["otherproto/9", "spacefarm/1", "spacefarm/2", "spacefarm/3"]
+)
 def test_wrong_hello_is_refused(server, hello):
     host, port = server.address
     sock = socket.create_connection((host, port), timeout=5)
