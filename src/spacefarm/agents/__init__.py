@@ -38,7 +38,6 @@ class AgentDescriptor:
     agent_id: str
     version: str
     execute: ExecuteFn
-    deterministic: bool = True
     assemble: AssembleFn = field(default=concat_assemble)
 
     @property

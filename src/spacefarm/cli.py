@@ -35,7 +35,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    server = SpaceServer(host=host, port=port, txn_sweep_ms=args.txn_sweep_ms)
+    server = SpaceServer(host=host, port=port)
     try:
         server.start()
     except OSError as exc:
@@ -105,14 +105,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         if not args.case:
             print(json.dumps(status, sort_keys=True))
             return 0
-        case = status.get("case", {})
-        snapshot = {
-            "case_id": args.case,
-            "tasks": case.get("tasks", {"wait": 0, "on": 0, "computed": 0}),
-            "result_entries": case.get("result_entries", 0),
-            "open_txns": status.get("open_txns", 0),
-            "stop": case.get("stop", False),
-        }
+        snapshot = {**status["case"], "open_txns": status["open_txns"]}
         print(json.dumps(snapshot, sort_keys=True))
         return 0
     except SpacefarmError as exc:
@@ -131,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run the space/transaction server")
     serve.add_argument("--bind", default=f"0.0.0.0:{wire.DEFAULT_PORT}")
-    serve.add_argument("--txn-sweep-ms", type=int, default=100)
     serve.set_defaults(func=_cmd_serve)
 
     master = sub.add_parser("master", help="run one computing case")

@@ -97,7 +97,6 @@ class ConfigurationEntry:
     agent_id: str
     agent_version: str
     agent_params: dict[str, str] = field(default_factory=dict)
-    num_parts: int = 0
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def entry_from_wire(obj: dict[str, Any]) -> Entry:
         value = obj[f.name]
         if f.name in _UNMATCHABLE_FIELDS and not isinstance(value, str):
             raise ValueError(f"{kind} field {f.name!r} must be text")
-        if f.name in ("part_index", "num_parts", "row_index", "lease_ms"):
+        if f.name in ("part_index", "row_index", "lease_ms"):
             value = int(value)
         kwargs[f.name] = value
     return cls(**kwargs)

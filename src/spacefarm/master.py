@@ -269,7 +269,6 @@ class Master:
                 agent_id=cfg.agent_id,
                 agent_version=cfg.agent_version,
                 agent_params=dict(cfg.agent_params),
-                num_parts=cfg.num_parts,
             )
         )
 
@@ -394,7 +393,3 @@ class Master:
         self._sweep("StopEntry")
         self.execlog.emit("case-failed", case_id=cfg.case_id, error=str(error))
         raise error
-
-
-def run_case(config: CaseConfig) -> CaseReport:
-    return Master(config).run()

@@ -9,11 +9,12 @@ matchable fields, not its bulk data.  A lookup that finds nothing parks in
 the space as a waiter, answered later by the write, commit or abort that
 makes a match visible, by its transaction's end, or by its deadline, kept in
 a heap here; the deadlines of lookups answered early are dropped once they
-outnumber the parked ones.  The loop also runs the transaction sweep every
-`txn_sweep_ms`.  A dropped connection's waiters are discarded and consume
-nothing.  Other threads never touch a connection: an in-process space call
-queues its messages, and `shutdown` hands over its abort and drain, both
-waking the loop through a socket pair.
+outnumber the parked ones.  The loop sleeps until the next lookup deadline
+or the next lease due, so it aborts a lease when it is due and an idle
+server does not wake.  A dropped connection's waiters are discarded and
+consume nothing.  Other threads never touch a connection: an in-process
+space call queues its messages, and `shutdown` hands over its abort and
+drain, both waking the loop through a socket pair.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import collections
 import contextlib
 import heapq
 import logging
+import math
 import selectors
 import socket
 import threading
@@ -58,12 +60,10 @@ class SpaceServer:
         self,
         host: str = "0.0.0.0",
         port: int = wire.DEFAULT_PORT,
-        txn_sweep_ms: int = 100,
         record_history: bool = False,
     ) -> None:
         self.space = SpaceCore(record_history=record_history)
         self.txns = TxnManager(self.space)
-        self._sweep_s = txn_sweep_ms / 1000.0
         self._bind = (host, port)
         self._listener: socket.socket | None = None
         self._selector = selectors.DefaultSelector()
@@ -115,21 +115,21 @@ class SpaceServer:
     # -- event loop --------------------------------------------------------------------
 
     def _loop(self) -> None:
-        next_sweep = time.monotonic() + self._sweep_s
-        stop_at: float | None = None
+        stop_at = math.inf
         while True:
-            if stop_at is None and self._drain_s is not None:
+            if stop_at == math.inf and self._drain_s is not None:
                 aborted = self.txns.abort_all()
                 if aborted:
                     log.info("shutdown aborted %d open transactions", len(aborted))
                 stop_at = time.monotonic() + self._drain_s
             now = time.monotonic()
-            if stop_at is not None and now >= stop_at:
+            if now >= stop_at:
                 break
-            wake_at = min(next_sweep, stop_at or next_sweep)
+            wake_at = min(stop_at, self.txns.due)
             if self._deadlines:
                 wake_at = min(wake_at, self._deadlines[0][0])
-            for key, mask in self._selector.select(max(wake_at - now, 0.0)):
+            timeout = None if wake_at == math.inf else max(wake_at - now, 0.0)
+            for key, mask in self._selector.select(timeout):
                 conn = key.data
                 if key.fileobj is self._listener:
                     self._accept()
@@ -145,9 +145,8 @@ class SpaceServer:
                 _, _, waiter, conn, req_id = heapq.heappop(self._deadlines)
                 if self.space.expire(waiter):
                     self._push(conn, wire.ok_response(req_id, {"entry": None}))
-            if now >= next_sweep:
+            if now >= self.txns.due:
                 self.txns.sweep()
-                next_sweep = now + self._sweep_s
             self._flush()
         self._flush()  # the answers to the shutdown aborts
         for conn in list(self._conns):

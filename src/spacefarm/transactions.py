@@ -4,7 +4,9 @@ Every transaction is a leased visibility scope over the space: commit promotes
 its writes and finalizes its takes, abort (explicit or by lease expiry) undoes
 both.  Expiry is the failure detector of the whole architecture: a worker that
 stops renewing its task transaction is presumed dead, and the abort puts the
-task it took back in the bag, which is the replay.
+task it took back in the bag, which is the replay.  `due` is never later
+than the earliest deadline of any open transaction, so the server's loop
+sweeps when a lease is due and sleeps while none is open.
 
 The manager takes the space's lock and installs its own `is_open` as the
 space's transaction check, so a check and the operation it guards are a
@@ -22,6 +24,7 @@ choose a transaction's id; an id that still has a record is refused.
 from __future__ import annotations
 
 import collections
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -56,6 +59,9 @@ class TxnManager:
         self._clock = clock
         self._records: dict[str, TxnRecord] = {}
         self._finished: collections.deque[str] = collections.deque()  # oldest first
+        # Commit and abort leave `due` early: that costs at most one sweep
+        # that aborts nothing.
+        self.due = math.inf
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -68,12 +74,11 @@ class TxnManager:
             txn_id = txn_id or new_entry_id()
             if txn_id in self._records:
                 raise ValueError(f"transaction {txn_id} already exists")
+            deadline = self._clock() + lease_ms / 1000.0
             self._records[txn_id] = TxnRecord(
-                txn_id=txn_id,
-                state=OPEN,
-                lease_ms=lease_ms,
-                deadline=self._clock() + lease_ms / 1000.0,
+                txn_id=txn_id, state=OPEN, lease_ms=lease_ms, deadline=deadline
             )
+            self.due = min(self.due, deadline)
             return txn_id
 
     def renew(self, txn_id: str, lease_ms: int) -> None:
@@ -83,6 +88,7 @@ class TxnManager:
             rec = self._open_record(txn_id)
             rec.lease_ms = lease_ms
             rec.deadline = self._clock() + lease_ms / 1000.0
+            self.due = min(self.due, rec.deadline)
 
     def commit(self, txn_id: str) -> None:
         with self._lock:
@@ -134,14 +140,15 @@ class TxnManager:
     # -- expiry and shutdown -----------------------------------------------------
 
     def sweep(self) -> list[str]:
-        """Abort every open transaction whose lease has expired."""
+        """Abort every open transaction whose lease has expired, and set
+        `due` to the earliest deadline still ahead."""
         with self._lock:
             now = self._clock()
-            expired = [
-                rec
-                for rec in self._records.values()
-                if rec.state == OPEN and rec.deadline <= now
-            ]
+            live = [rec for rec in self._records.values() if rec.state == OPEN]
+            expired = [rec for rec in live if rec.deadline <= now]
+            self.due = min(
+                (rec.deadline for rec in live if rec.deadline > now), default=math.inf
+            )
             for rec in expired:
                 self._finish_abort(rec)
             return [rec.txn_id for rec in expired]

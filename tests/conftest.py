@@ -41,7 +41,7 @@ def fake_clock():
 
 @pytest.fixture
 def server():
-    srv = SpaceServer(host="127.0.0.1", port=0, txn_sweep_ms=25)
+    srv = SpaceServer(host="127.0.0.1", port=0)
     srv.start()
     yield srv
     srv.shutdown(drain_ms=0)

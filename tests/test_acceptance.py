@@ -491,7 +491,7 @@ def test_task_scanner_ignores_claim_of_an_aborted_attempt():
 def test_acceptance_6_scheduler_mutual_exclusion(tmp_path):
     passed = False
     detail = ""
-    srv = SpaceServer(host="127.0.0.1", port=0, txn_sweep_ms=50, record_history=True)
+    srv = SpaceServer(host="127.0.0.1", port=0, record_history=True)
     srv.start()
     try:
         address = f"127.0.0.1:{srv.address[1]}"

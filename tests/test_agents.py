@@ -20,7 +20,6 @@ def test_builtin_agents_are_registered():
     for agent_id in ("echo", "bbp-pi", "cholesky-rowblock"):
         descriptor = resolve(agent_id, "1")
         assert descriptor.agent_id == agent_id
-        assert descriptor.deterministic
 
 
 def test_resolve_unknown_agent():

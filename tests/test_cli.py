@@ -100,6 +100,7 @@ def test_status_reports_case_snapshot(address, capsys):
     snapshot = json.loads(capsys.readouterr().out)
     assert snapshot["case_id"] == "case-zzz"
     assert snapshot["tasks"] == {"wait": 0, "on": 0, "computed": 0}
+    assert snapshot["row_entries"] == 0
 
 
 def test_status_counts_a_task_held_by_a_paused_worker(tmp_path, address, capsys):

@@ -25,7 +25,7 @@ from spacefarm.errors import InvalidTemplate, MalformedPayload
 def sample_entries():
     return [
         ResultEntry("case-a", 0, new_entry_id(), encode_payload(b"")),
-        ConfigurationEntry("case-a", "echo", "1", {"delay_ms": "0"}, 4),
+        ConfigurationEntry("case-a", "echo", "1", {"delay_ms": "0"}),
         StopEntry("case-a"),
         TaskEntry("case-a", 0, 30_000, "echo", encode_payload(b"hello")),
         RowEntry("case-a", "0", 3, "1 0.5 -2.25e-1"),

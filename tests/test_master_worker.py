@@ -288,13 +288,13 @@ def test_a_malformed_task_payload_kills_no_worker(tmp_path, address, session):
     session.subscribe(
         Template("TaskEntry", {"case_id": "bad"}), lambda seq, fields: restores.put(seq)
     )
-    session.write(ConfigurationEntry("bad", "echo", "1", {}, 1))
+    session.write(ConfigurationEntry("bad", "echo", "1", {}))
     session.write(TaskEntry("bad", 0, 10_000, "echo", "!!not base64!!"))
     restores.get(timeout=5)  # the write itself
     with running_workers(address, 2, tmp_path) as threads:
         for _ in range(2):  # two failed attempts: each worker has met the task
             restores.get(timeout=10)
-        session.write(ConfigurationEntry("good", "echo", "1", {}, 1))
+        session.write(ConfigurationEntry("good", "echo", "1", {}))
         session.write(TaskEntry("good", 0, 10_000, "echo", encode_payload(b"still here")))
         result = session.take(
             Template("ResultEntry", {"case_id": "good"}), timeout_ms=10_000

@@ -284,7 +284,7 @@ def test_one_server_thread_and_a_clean_shutdown():
         ]
 
     before = set(threading.enumerate())
-    server = SpaceServer(host="127.0.0.1", port=0, txn_sweep_ms=25)
+    server = SpaceServer(host="127.0.0.1", port=0)
     server.start()
     host, port = server.address
     address = f"{host}:{port}"
@@ -458,9 +458,11 @@ def test_admin_status_reports_counts(session):
 
 # spacefarm/1 still had entry leases and transaction-scoped subscriptions;
 # spacefarm/2 had no transaction ids chosen by the client; spacefarm/3 sent a
-# RowEntry's values as a list of strings.
+# RowEntry's values as a list of strings; spacefarm/4 sent a
+# ConfigurationEntry's num_parts.
 @pytest.mark.parametrize(
-    "hello", ["otherproto/9", "spacefarm/1", "spacefarm/2", "spacefarm/3"]
+    "hello",
+    ["otherproto/9", "spacefarm/1", "spacefarm/2", "spacefarm/3", "spacefarm/4"],
 )
 def test_wrong_hello_is_refused(server, hello):
     host, port = server.address
@@ -476,7 +478,7 @@ def test_wrong_hello_is_refused(server, hello):
 
 
 def test_shutdown_aborts_open_transactions():
-    server = SpaceServer(host="127.0.0.1", port=0, txn_sweep_ms=25)
+    server = SpaceServer(host="127.0.0.1", port=0)
     server.start()
     host, port = server.address
     session = Session.connect(f"{host}:{port}")

@@ -1,5 +1,7 @@
 """Transaction lifecycle and lease expiry sweeps."""
 
+import math
+
 import pytest
 
 from conftest import FakeClock
@@ -106,6 +108,29 @@ def test_renew_extends_deadline(fake_clock):
     assert txns.is_open(txn)
     fake_clock.advance(0.3)
     assert txns.sweep() == [txn]
+
+
+def test_due_is_the_earliest_open_deadline(fake_clock):
+    _, txns = make_pair(fake_clock)
+    start = fake_clock.now
+    assert txns.due == math.inf
+    short = txns.create(1_000)
+    long = txns.create(3_000)
+    assert txns.due == start + 1.0
+    txns.renew(long, 500)  # a renew may shorten a lease
+    assert txns.due == start + 0.5
+    txns.commit(long)
+    fake_clock.advance(0.7)  # past the committed deadline, before the open one
+    assert txns.sweep() == []
+    assert txns.due == start + 1.0
+    fake_clock.advance(0.5)
+    later = txns.create(1_000)
+    assert txns.due == start + 1.0
+    assert txns.sweep() == [short]  # the expired one only
+    assert txns.due == start + 2.2
+    txns.abort(later)
+    assert txns.sweep() == []
+    assert txns.due == math.inf
 
 
 def test_abort_all(fake_clock):
