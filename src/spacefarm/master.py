@@ -10,28 +10,33 @@ once. A crash, a lease expiry or an explicit abort restores the task with its
 original sequence number; that restore is the replay, and the master has
 nothing to re-feed.
 
-The master cuts the input and feeds every part in one pipelined batch: all
-TaskEntry writes go out in one send and cost one round trip. It then takes
-each ResultEntry of the case as a commit publishes it, keeping the result in
-memory, and follows a subscription to the case's TaskEntry on the same
-session. An event carries the task's part_index but not its data. The first
-TaskEntry event for a part is the master's own feed; every later one is a
-restore, so it counts as one replay and one failed attempt toward
-max_attempts. Every restore of a part comes before the commit that publishes
-its result, the server sends both on the master's one connection in that
-order, and the session handles the event before the take returns the
-result; so once the last result is taken, every replay has been counted.
+The master cuts the input and feeds every part in one pipelined batch: the
+case's ConfigurationEntry, then every TaskEntry, go out in one send and cost
+one round trip. The server runs a connection's ops in order, so no task is
+visible before its configuration. The master then takes each ResultEntry of
+the case as a commit publishes it, keeping the result in memory, and follows
+a subscription to the case's TaskEntry on the same session. An event
+carries the task's part_index but not its data. The first TaskEntry event
+for a part is the master's own feed; every later one is a restore, so it
+counts as one replay and one failed attempt toward max_attempts. Every
+restore of a part comes before the commit that publishes its result, the
+server sends both on the master's one connection in that order, and the
+session handles the event before the take returns the result; so once the
+last result is taken, every replay has been counted.
 
-A case ends, finished or failed, with its StopEntry. Workers cache each
-case's configuration and drop it on that event, so a task of a failed case
-claimed afterwards finds no configuration and is dropped.
+A case ends, finished or failed, the same way. One batch takes the
+configuration back, writes the case's StopEntry and takes it again: workers
+cache each case's configuration and drop it on the StopEntry's write event,
+and nothing reads the entry, so it lives for one batch. A task of a failed
+case claimed afterwards finds no configuration and is dropped. The master
+then asks the server how many entries the case still has and takes exactly
+those, in one more batch.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import queue
 import time
 from collections import Counter
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import AgentDescriptor, resolve
-from .client import Session, unwrap, write_request
+from .client import Session, take_request, unwrap, write_request
 from .cuts import STRATEGIES, cut
 from .entries import (
     ConfigurationEntry,
@@ -61,8 +66,6 @@ from .errors import (
 )
 from .execlog import ExecLog
 from .transactions import MIN_LEASE_MS
-
-log = logging.getLogger(__name__)
 
 # How long one take for a result waits before the master looks at the restore
 # events that came in meanwhile.
@@ -99,7 +102,6 @@ class CaseConfig:
     task_lease_ms: int
     max_attempts: int = 5
     tmp_dir: str | None = None  # unused: parts travel only through the space
-    startup_grace_ms: int = 10_000
 
     @classmethod
     def from_json(cls, text: str) -> "CaseConfig":
@@ -130,7 +132,6 @@ class CaseConfig:
             task_lease_ms=int(obj["task_lease_ms"]),
             max_attempts=int(obj.get("max_attempts", 5)),
             tmp_dir=obj.get("tmp_dir"),
-            startup_grace_ms=int(obj.get("startup_grace_ms", 10_000)),
         )
         config.validate()
         return config
@@ -231,7 +232,7 @@ class Master:
                 self._feed(parts)
             except SpacefarmError as exc:
                 self._fail_case(exc)
-            self._event_loop(started)
+            self._event_loop()
             elapsed_ms = int((time.monotonic() - started) * 1000)
             report = CaseReport(
                 case_id=cfg.case_id,
@@ -256,27 +257,24 @@ class Master:
             raise SpaceUnreachable(str(exc)) from exc
 
     def _announce_case(self) -> None:
-        cfg = self.config
         self._session.subscribe(
-            Template("TaskEntry", {"case_id": cfg.case_id}),
+            Template("TaskEntry", {"case_id": self.config.case_id}),
             lambda seq, fields: self._task_events.put(fields["part_index"]),
-        )
-        # Written before any part is fed, so a worker that claims a task of
-        # this case finds the configuration without waiting.
-        self._session.write(
-            ConfigurationEntry(
-                case_id=cfg.case_id,
-                agent_id=cfg.agent_id,
-                agent_version=cfg.agent_version,
-                agent_params=dict(cfg.agent_params),
-            )
         )
 
     # -- feeding ---------------------------------------------------------------------
 
     def _feed(self, parts: list[bytes]) -> None:
         cfg = self.config
-        requests = []
+        # First in the batch, so a worker that claims a task of this case
+        # finds the configuration without waiting.
+        configuration = ConfigurationEntry(
+            case_id=cfg.case_id,
+            agent_id=cfg.agent_id,
+            agent_version=cfg.agent_version,
+            agent_params=dict(cfg.agent_params),
+        )
+        requests = [write_request(configuration)]
         for index, blob in enumerate(parts):
             task = TaskEntry(
                 case_id=cfg.case_id,
@@ -293,39 +291,18 @@ class Master:
 
     # -- event loop --------------------------------------------------------------------
 
-    def _event_loop(self, started: float) -> None:
+    def _event_loop(self) -> None:
         cfg = self.config
-        grace_deadline = started + cfg.startup_grace_ms / 1000.0
-        grace_checked = False
         # A take, not a subscription: an event would carry the result's
         # payload once more before the take that removes it.
         results = Template("ResultEntry", {"case_id": cfg.case_id})
         while len(self._results) < cfg.num_parts:
-            if not grace_checked and time.monotonic() >= grace_deadline:
-                grace_checked = True
-                self._check_worker_count()
             result = self._session.take(results, timeout_ms=RESULT_WAIT_MS)
             if result is not None:
                 self._results[result.part_index] = decode_payload(result.payload)
             while not self._task_events.empty():
                 self._on_task_event(self._task_events.get())
         self._finish_case()
-
-    def _check_worker_count(self) -> None:
-        cfg = self.config
-        try:
-            status = self._session.admin_status()
-        except SpacefarmError:
-            return
-        # Minus this master's session.
-        peers = max(0, int(status.get("sessions", 0)) - 1)
-        if peers < cfg.initial_workers:
-            log.warning(
-                "case %s: %d peer connections observed, config expects %d workers",
-                cfg.case_id,
-                peers,
-                cfg.initial_workers,
-            )
 
     # -- restore handling --------------------------------------------------------------
 
@@ -350,46 +327,50 @@ class Master:
 
     def _finish_case(self) -> None:
         cfg = self.config
-        self._session.write(StopEntry(case_id=cfg.case_id))
-        # Workers only needed the stop event, so the entry goes too.
-        self._sweep("ConfigurationEntry", "RowEntry", "StopEntry")
+        self._end_case(0)
         output = Path(cfg.output_path)
         output.parent.mkdir(parents=True, exist_ok=True)
         results = [self._results[index] for index in range(cfg.num_parts)]
         output.write_bytes(self.descriptor.assemble(results))
 
-    def _sweep(self, *kinds: str) -> None:
-        """Take every visible entry of the case of these kinds, without waiting."""
-        for kind in kinds:
-            template = Template(kind, {"case_id": self.config.case_id})
-            try:
-                while self._session.take(template, timeout_ms=0) is not None:
-                    pass
-            except SpacefarmError:
-                return
-
     def _fail_case(self, error: SpacefarmError) -> None:
-        cfg = self.config
-        # Without its configuration no worker runs the case's tasks again:
-        # the stop event makes workers drop their cached copy, and a worker
-        # that then claims one of its tasks commits, which drops it. Attempts
-        # already running end on their own; wait for them, for at most one
-        # lease, so whatever they restore or publish is swept too.
-        self._sweep("ConfigurationEntry")
+        # Attempts already running end on their own within one lease.
         with contextlib.suppress(SpacefarmError):
-            self._session.write(StopEntry(case_id=cfg.case_id))
-        deadline = time.monotonic() + cfg.task_lease_ms / 1000.0
-        while True:
-            try:
-                tasks = self._session.admin_status(cfg.case_id)["case"]["tasks"]
-            except SpacefarmError:
-                break
-            self._sweep("TaskEntry", "ResultEntry", "RowEntry")
-            # No task waiting, held or with an uncollected result: none can
-            # come back, so this sweep left nothing behind.
-            if not any(tasks.values()) or time.monotonic() >= deadline:
-                break
-            time.sleep(0.05)
-        self._sweep("StopEntry")
-        self.execlog.emit("case-failed", case_id=cfg.case_id, error=str(error))
+            self._end_case(self.config.task_lease_ms / 1000.0)
+        self.execlog.emit("case-failed", case_id=self.config.case_id, error=str(error))
         raise error
+
+    def _end_case(self, wait_s: float) -> None:
+        """Stop the case and take every entry it left in the space.
+
+        Without its configuration no worker runs the case's tasks again: the
+        stop event makes workers drop their cached copy, and a worker that
+        then claims one of its tasks commits, which drops it. While a task is
+        held, its attempt may still restore it or publish its result; the
+        count and the takes repeat every 50 ms, for at most `wait_s`.
+        """
+        case = {"case_id": self.config.case_id}
+        unwrap(self._session.batch([
+            take_request(Template("ConfigurationEntry", case)),
+            write_request(StopEntry(**case)),
+            take_request(Template("StopEntry", case)),
+        ]))
+        deadline = time.monotonic() + wait_s
+        while True:
+            counts = self._session.admin_status(case["case_id"])["case"]
+            tasks = counts["tasks"]
+            left = (
+                ("TaskEntry", tasks["wait"]),
+                ("ResultEntry", tasks["computed"]),
+                ("RowEntry", counts["row_entries"]),
+            )
+            takes = [
+                take_request(Template(kind, case))
+                for kind, count in left
+                for _ in range(count)
+            ]
+            if takes:
+                unwrap(self._session.batch(takes))
+            if not tasks["on"] or time.monotonic() >= deadline:
+                return
+            time.sleep(0.05)

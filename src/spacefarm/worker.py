@@ -38,11 +38,11 @@ holds a task finishes or abandons it first, and its publish batch then
 takes no next task.
 
 Fault injection for the test harness is compiled in but dormant: the
-SPACEFARM_FAULT environment variable arms hooks at fixed phases of
-execution (after-claim, after-file-read, before-result-write,
-before-computed-mark) with an action of kill, pause:<ms>, or abort-txn.
-Each armed fault fires once per process. The last two fire before the
-publish batch, so an abort there voids the result write.
+SPACEFARM_FAULT environment variable arms hooks at two fixed phases of
+execution, after-claim and before-result-write, with an action of kill,
+pause:<ms>, or abort-txn. Each armed fault fires once per process.
+before-result-write fires just before the publish batch, so an abort there
+voids the result write.
 """
 
 from __future__ import annotations
@@ -93,12 +93,7 @@ from .execlog import ExecLog
 log = logging.getLogger(__name__)
 
 FAULT_ENV_VAR = "SPACEFARM_FAULT"
-FAULT_PHASES = (
-    "after-claim",
-    "after-file-read",
-    "before-result-write",
-    "before-computed-mark",  # just before the commit
-)
+FAULT_PHASES = ("after-claim", "before-result-write")
 FAULT_ACTIONS = ("kill", "pause", "abort-txn")
 KILL_EXIT_CODE = 17
 
@@ -348,10 +343,6 @@ class Worker:
                 return self._abandon(session, task, txn, f"agent-unavailable: {exc}")
             self._cases[task.case_id] = case
         config, descriptor = case
-        self.faults.fire(
-            "after-file-read", self.execlog, session, txn,
-            worker_id=self.worker_id, part_index=task.part_index,
-        )
         if heartbeat.lost(txn):
             return self._abandon(session, task, txn, "lease-lost")
         try:
@@ -369,11 +360,10 @@ class Worker:
             return self._abandon(session, task, txn, f"agent-failure: {exc!r}")
         if heartbeat.lost(txn):
             return self._abandon(session, task, txn, "lease-lost")
-        for phase in ("before-result-write", "before-computed-mark"):
-            self.faults.fire(
-                phase, self.execlog, session, txn,
-                worker_id=self.worker_id, part_index=task.part_index,
-            )
+        self.faults.fire(
+            "before-result-write", self.execlog, session, txn,
+            worker_id=self.worker_id, part_index=task.part_index,
+        )
         result = ResultEntry(
             case_id=task.case_id,
             part_index=task.part_index,

@@ -167,7 +167,6 @@ def make_case_config(tmp_path, address: str, *, input_bytes: bytes, **overrides)
         task_lease_ms=10_000,
         max_attempts=5,
         tmp_dir=str(tmp_path / "parts"),
-        startup_grace_ms=120_000,
     )
     fields.update(overrides)
     return CaseConfig(**fields)

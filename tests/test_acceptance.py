@@ -259,12 +259,7 @@ def test_acceptance_3_cholesky_end_to_end(tmp_path, address):
 
 # -- 4: kill-fault replay suite --------------------------------------------------------
 
-KILL_PHASES = (
-    "after-claim",
-    "after-file-read",
-    "before-result-write",
-    "before-computed-mark",
-)
+KILL_PHASES = ("after-claim", "before-result-write")
 
 
 def _kill_scenario(tmp_path, phase: str) -> Scenario:
@@ -286,7 +281,6 @@ def _kill_scenario(tmp_path, phase: str) -> Scenario:
                 "initial_workers": 3,
                 "task_lease_ms": 2_500,
                 "max_attempts": 5,
-                "startup_grace_ms": 60_000,
             },
             "faults": [{"target": 0, "trigger": phase, "action": "kill"}],
             "assertions": [
@@ -318,7 +312,7 @@ def test_acceptance_4_replay_fault_suite(tmp_path):
                     + "; ".join(f"{a['name']} ({a['detail']})" for a in bad)
                 )
         passed = not failures
-        detail = "; ".join(failures) if failures else "4 phases, byte-identical"
+        detail = "; ".join(failures) if failures else f"{len(KILL_PHASES)} phases, byte-identical"
     except Exception as exc:
         detail = repr(exc)
         raise
@@ -351,7 +345,6 @@ def test_acceptance_5_adaptability(tmp_path):
                     "num_parts": 12,
                     "initial_workers": 2,
                     "task_lease_ms": 10_000,
-                    "startup_grace_ms": 60_000,
                 },
                 "assertions": ["case_completes", "exactly_once", "late_join_executes"],
                 "timeout_s": 90,
@@ -375,10 +368,9 @@ def test_acceptance_5_adaptability(tmp_path):
                     "initial_workers": 2,
                     "task_lease_ms": 2_500,
                     "max_attempts": 5,
-                    "startup_grace_ms": 60_000,
                 },
                 "faults": [
-                    {"target": 0, "trigger": "after-file-read", "action": "kill"}
+                    {"target": 0, "trigger": "after-claim", "action": "kill"}
                 ],
                 "assertions": [
                     "case_completes",

@@ -107,7 +107,7 @@ def test_status_counts_a_task_held_by_a_paused_worker(tmp_path, address, capsys)
     config = make_case_config(
         tmp_path, address, input_bytes=b"x", case_id="held", num_parts=1
     )
-    pause = _Fault(phase="after-file-read", action="pause", pause_ms=2_000)
+    pause = _Fault(phase="after-claim", action="pause", pause_ms=2_000)
     with running_workers(address, 1, tmp_path, injectors={0: FaultInjector([pause])}):
         master = threading.Thread(target=Master(config).run, daemon=True)
         master.start()

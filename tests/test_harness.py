@@ -42,7 +42,7 @@ def test_scenario_parses_faults_and_offsets():
         topology={"workers": 3, "start_offsets": [0, 0, 2.5]},
         faults=[
             {"target": 1, "trigger": "after-claim", "action": "kill"},
-            {"target": 2, "trigger": "after-file-read", "action": "pause", "pause_ms": 50},
+            {"target": 2, "trigger": "after-claim", "action": "pause", "pause_ms": 50},
         ],
     )
     scenario = Scenario.from_dict(obj)
@@ -115,7 +115,6 @@ def test_small_scenario_runs_end_to_end(tmp_path):
                 "num_parts": 2,
                 "initial_workers": 1,
                 "task_lease_ms": 5_000,
-                "startup_grace_ms": 60_000,
             },
             "assertions": ["case_completes", "exactly_once", "no_replays"],
             "timeout_s": 60,

@@ -519,7 +519,7 @@ def test_a_part_costs_one_round_trip_and_one_configuration_read(
     assert len(config_reads) == 1
     feed = ("space.write", "TaskEntry")
     feeds = [kinds for _, kinds, _ in batches if feed in kinds]
-    assert feeds == [[feed] * 16]
+    assert feeds == [[("space.write", "ConfigurationEntry")] + [feed] * 16]
     claim = [("space.take", "TaskEntry")]
     publish = [
         ("space.write", "ResultEntry"), ("txn.commit", None),
@@ -546,6 +546,58 @@ def test_a_part_costs_one_round_trip_and_one_configuration_read(
             # when the stop aborts its transaction.
             assert before == publish and answered[3]["entry"] is None
             assert isinstance(answers[0], TxnNotOpen) or answers[0]["entry"]
+
+
+def test_a_finished_case_ends_in_three_master_exchanges(
+    tmp_path, server, address, monkeypatch
+):
+    """After its last result, the master sends one batch that takes the
+    configuration and writes and takes the StopEntry, asks for the case's
+    counts once, and takes exactly the 16 RowEntry blocks a 64x64 P=2
+    factorization leaves, in one batch."""
+    master = threading.current_thread().name
+    exchanges = []  # the master's: ([(op, kind of its entry or template)], answers)
+    exchange = Session._exchange
+
+    def recording(self, ops, *rest):
+        answers = exchange(self, ops, *rest)
+        if threading.current_thread().name == master:
+            kinds = []
+            for op, params in ops:
+                named = params.get("entry") or params.get("template") or {}
+                kinds.append((op, named.get("kind")))
+            exchanges.append((kinds, answers))
+        return answers
+
+    monkeypatch.setattr(Session, "_exchange", recording)
+    config = make_case_config(
+        tmp_path,
+        address,
+        input_bytes=cholesky.format_matrix(spd_matrix(64, seed=24)).encode("utf-8"),
+        agent_id="cholesky-rowblock",
+        cut_name="cholesky_rowblock",
+        num_parts=2,
+        initial_workers=2,
+        agent_params={"row_timeout_ms": 20_000},
+    )
+    assert run_case_with_workers(config, 2, tmp_path).results == 2
+    result_take = [("space.take", "ResultEntry")]
+    last = max(
+        index for index, (kinds, answers) in enumerate(exchanges)
+        if kinds == result_take and answers[0]["entry"] is not None
+    )
+    after = exchanges[last + 1:]
+    assert [kinds for kinds, _ in after] == [
+        [
+            ("space.take", "ConfigurationEntry"),
+            ("space.write", "StopEntry"),
+            ("space.take", "StopEntry"),
+        ],
+        [("admin.status", None)],
+        [("space.take", "RowEntry")] * 16,
+    ]
+    assert all(answer["entry"] is not None for answer in after[2][1])
+    assert server.space.stats()["stored"] == 0
 
 
 def test_a_case_starts_no_thread_per_part(tmp_path, address, monkeypatch):
@@ -898,7 +950,9 @@ def valid_config_dict(tmp_path):
 
 
 def test_config_from_json_roundtrip(tmp_path):
-    config = CaseConfig.from_json(json.dumps(valid_config_dict(tmp_path)))
+    # A key this version no longer reads is ignored.
+    obj = {**valid_config_dict(tmp_path), "startup_grace_ms": 60_000}
+    config = CaseConfig.from_json(json.dumps(obj))
     assert config.case_id == "case-json"
     assert config.cut_name == "byte_chunk"
     assert config.max_attempts == 5  # default
