@@ -144,9 +144,19 @@ ENTRY_KINDS: dict[str, type] = {
 }
 
 
-def matchable_fields(kind: str) -> set[str]:
-    cls = ENTRY_KINDS[kind]
-    return {f.name for f in fields(cls)} - _UNMATCHABLE_FIELDS
+# Each kind's field names in declaration order, read once: the codec and
+# every Template need them, and dataclasses.fields() is slow per call.
+_FIELD_NAMES: dict[str, tuple[str, ...]] = {
+    kind: tuple(f.name for f in fields(cls)) for kind, cls in ENTRY_KINDS.items()
+}
+_MATCHABLE: dict[str, frozenset[str]] = {
+    kind: frozenset(names) - _UNMATCHABLE_FIELDS
+    for kind, names in _FIELD_NAMES.items()
+}
+
+
+def matchable_fields(kind: str) -> frozenset[str]:
+    return _MATCHABLE[kind]
 
 
 def event_fields(entry: Entry) -> dict[str, Any]:
@@ -161,11 +171,11 @@ def event_fields(entry: Entry) -> dict[str, Any]:
 
 def entry_to_wire(entry: Entry) -> dict[str, Any]:
     obj: dict[str, Any] = {"kind": entry.kind}
-    for f in fields(entry):
-        value = getattr(entry, f.name)
-        if f.name == "agent_params":
+    for name in _FIELD_NAMES[entry.kind]:
+        value = getattr(entry, name)
+        if name == "agent_params":
             value = dict(value)
-        obj[f.name] = value
+        obj[name] = value
     return obj
 
 
@@ -175,15 +185,15 @@ def entry_from_wire(obj: dict[str, Any]) -> Entry:
     if cls is None:
         raise ValueError(f"unknown entry kind: {kind!r}")
     kwargs: dict[str, Any] = {}
-    for f in fields(cls):
-        if f.name not in obj:
-            raise ValueError(f"{kind} missing field {f.name!r}")
-        value = obj[f.name]
-        if f.name in _UNMATCHABLE_FIELDS and not isinstance(value, str):
-            raise ValueError(f"{kind} field {f.name!r} must be text")
-        if f.name in ("part_index", "row_index", "lease_ms"):
+    for name in _FIELD_NAMES[kind]:
+        if name not in obj:
+            raise ValueError(f"{kind} missing field {name!r}")
+        value = obj[name]
+        if name in _UNMATCHABLE_FIELDS and not isinstance(value, str):
+            raise ValueError(f"{kind} field {name!r} must be text")
+        if name in ("part_index", "row_index", "lease_ms"):
             value = int(value)
-        kwargs[f.name] = value
+        kwargs[name] = value
     return cls(**kwargs)
 
 

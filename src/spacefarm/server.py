@@ -367,19 +367,16 @@ class SpaceServer:
         """Task entries waiting (visible) and on (held by a worker's open
         transaction); computed are the results the master has not collected;
         row_entries counts published Cholesky blocks, one per block of rows."""
-        kinds = ("TaskEntry", "ResultEntry", "RowEntry", "StopEntry")
+        kinds = ("TaskEntry", "ResultEntry", "RowEntry")
         counts = {
             kind: self.space.count(Template(kind, {"case_id": case_id}))
             for kind in kinds
         }
         wait, on = counts["TaskEntry"]
-        results = counts["ResultEntry"][0]
         return {
             "case_id": case_id,
-            "tasks": {"wait": wait, "on": on, "computed": results},
-            "result_entries": results,
+            "tasks": {"wait": wait, "on": on, "computed": counts["ResultEntry"][0]},
             "row_entries": counts["RowEntry"][0],
-            "stop": counts["StopEntry"][0] > 0,
         }
 
     _OPS = {

@@ -117,6 +117,55 @@ def test_kernels_agree(start, count):
     assert len(results) == 1
 
 
+def one_power_per_term(start, count):
+    """The pure kernel's evaluation with a modular power of its own for every
+    head term: the residues that the kernel's shared powers must reproduce,
+    so the two agree exactly, not only to within the error bound."""
+    d = start - 1
+    bits = 4 * count + 64
+    acc = 0
+    for e, m1 in zip(range(d, -1, -1), range(1, 8 * d + 2, 8)):
+        m4, m5, m6 = m1 + 3, m1 + 4, m1 + 5
+        r = pow(16, e, m1 * m4 * m5 * m6)
+        acc += (
+            ((r % m1) << bits + 2) // m1
+            - ((r % m4) << bits + 1) // m4
+            - ((r % m5) << bits) // m5
+            - ((r % m6) << bits) // m6
+        )
+    m1 = 8 * d + 1
+    shift = bits + 2
+    while True:
+        m1 += 8
+        shift -= 4
+        lead = (1 << shift) // m1
+        if lead == 0:
+            break
+        acc += (
+            lead
+            - (1 << shift - 1) // (m1 + 3)
+            - (1 << shift - 2) // (m1 + 4)
+            - (1 << shift - 2) // (m1 + 5)
+        )
+    x = acc & ((1 << bits) - 1)
+    return f"{x >> 64:0{count}X}"
+
+
+def test_shared_powers_match_one_power_per_term_at_every_grouping():
+    # Starts 1 and 2 have fewer than three head terms; 1..12 give every
+    # remainder of the d + 1 head terms mod 3 several times.
+    for start in range(1, 13):
+        for count in (1, 16, 17, 64):
+            expected = one_power_per_term(start, count)
+            assert _bbp_py.hex_digits(start, count) == expected, (start, count)
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=st.integers(1, 20_000), count=st.integers(1, 300))
+def test_shared_powers_match_one_power_per_term(start, count):
+    assert _bbp_py.hex_digits(start, count) == one_power_per_term(start, count)
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND)
 def test_argument_validation(kernel):
     for start, count in ((0, 1), (-3, 4), (1, 0), (5, -1)):

@@ -407,7 +407,7 @@ def test_task_of_a_failed_case_is_dropped_after_its_stop_event(
         dropped = [e["reason"] for e in events if e["event"] == "task-abandoned"]
         assert dropped == ["configuration-missing"]
         assert task_counts(session, "failed-case") == NO_TASKS
-        assert session.admin_status("failed-case")["case"]["stop"] is False
+        assert session.read(Template("StopEntry", {"case_id": "failed-case"})) is None
     finally:
         del _REGISTRY[descriptor.key]
 

@@ -452,7 +452,9 @@ def test_admin_status_reports_counts(session):
     assert status["sessions"] >= 1
     by_case = session.admin_status("status-case")
     assert by_case["case"]["case_id"] == "status-case"
-    assert by_case["case"]["stop"] is True
+    assert set(by_case["case"]) == {"case_id", "tasks", "row_entries"}
+    stop = Template("StopEntry", {"case_id": "status-case"})
+    assert session.read(stop) == StopEntry(case_id="status-case")
     session.txn_abort(txn)
 
 
