@@ -35,7 +35,6 @@ from .errors import (
     SpacefarmError,
     from_code,
 )
-from .transactions import TxnRecord
 
 log = logging.getLogger(__name__)
 
@@ -301,10 +300,6 @@ class Session:
 
     def txn_abort(self, txn_id: str) -> None:
         self.call("txn.abort", {"txn_id": txn_id})
-
-    def txn_status(self, txn_id: str) -> TxnRecord:
-        result = self.call("txn.status", {"txn_id": txn_id})
-        return TxnRecord(**result, deadline=0.0)
 
     def admin_status(self, case_id: str | None = None) -> dict[str, Any]:
         params = {"case_id": case_id} if case_id else {}

@@ -20,16 +20,11 @@ from __future__ import annotations
 
 import base64
 import binascii
-import re
 import uuid
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar
 
 from .errors import InvalidTemplate, MalformedPayload
-
-_UUID_RE = re.compile(
-    r"^[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}$"
-)
 
 # Fields that hold bulk data or nested structures; never matchable.
 _UNMATCHABLE_FIELDS = {"payload", "values"}
@@ -38,17 +33,6 @@ _UNMATCHABLE_FIELDS = {"payload", "values"}
 def new_entry_id() -> str:
     """Random 128-bit identifier in canonical 8-4-4-4-12 hex form."""
     return str(uuid.uuid4())
-
-
-def parse_entry_id(text: str) -> str:
-    """Validate canonical UUID text; returns the id unchanged.
-
-    Only the 36-character lowercase canonical form is accepted, so
-    parse(print(id)) is the identity.
-    """
-    if not isinstance(text, str) or not _UUID_RE.match(text):
-        raise ValueError(f"not a canonical entry id: {text!r}")
-    return text
 
 
 def encode_payload(data: bytes) -> str:
@@ -86,7 +70,6 @@ class ResultEntry:
     kind: ClassVar[str] = "ResultEntry"
     case_id: str
     part_index: int
-    entry_id: str
     payload: str  # Base64 text
 
 

@@ -21,10 +21,6 @@ class TxnNotOpen(SpacefarmError):
     code = "TXN_NOT_OPEN"
 
 
-class UnknownTxn(SpacefarmError):
-    code = "UNKNOWN_TXN"
-
-
 class FrameTooLarge(SpacefarmError):
     code = "FRAME_TOO_LARGE"
 

@@ -140,11 +140,6 @@ class Scenario:
             timeout_s=float(obj.get("timeout_s", DEFAULT_SCENARIO_TIMEOUT_S)),
         )
 
-    @classmethod
-    def from_file(cls, path: str) -> "Scenario":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass
 class ScenarioReport:

@@ -347,7 +347,8 @@ class Master:
         stop event makes workers drop their cached copy, and a worker that
         then claims one of its tasks commits, which drops it. While a task is
         held, its attempt may still restore it or publish its result; the
-        count and the takes repeat every 50 ms, for at most `wait_s`.
+        count and the takes repeat every 50 ms, for at most `wait_s`.  A
+        take that misses lost its task to a claim, so it counts as held.
         """
         case = {"case_id": self.config.case_id}
         unwrap(self._session.batch([
@@ -369,8 +370,8 @@ class Master:
                 for kind, count in left
                 for _ in range(count)
             ]
-            if takes:
-                unwrap(self._session.batch(takes))
-            if not tasks["on"] or time.monotonic() >= deadline:
+            answers = unwrap(self._session.batch(takes)) if takes else []
+            settled = not tasks["on"] and None not in answers
+            if settled or time.monotonic() >= deadline:
                 return
             time.sleep(0.05)

@@ -11,10 +11,14 @@ makes a match visible, by its transaction's end, or by its deadline, kept in
 a heap here; the deadlines of lookups answered early are dropped once they
 outnumber the parked ones.  The loop sleeps until the next lookup deadline
 or the next lease due, so it aborts a lease when it is due and an idle
-server does not wake.  A dropped connection's waiters are discarded and
-consume nothing.  Other threads never touch a connection: an in-process
-space call queues its messages, and `shutdown` hands over its abort and
-drain, both waking the loop through a socket pair.
+server does not wake.  A transaction belongs to the connection that
+created it.  A dropped connection's waiters are discarded and consume
+nothing, and then the transactions it left open are aborted, so a crashed
+worker's task is back in the bag at once instead of when its lease runs out.
+The lease stays the detector for a client that hangs.  Other threads never
+touch a connection: an in-process space call queues its messages, and
+`shutdown` hands over its abort and drain, both waking the loop through a
+socket pair.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class SpaceServer:
 
     def shutdown(self, drain_ms: int = 1500) -> None:
         """Abort every open transaction, then keep serving for a short drain
-        window so clients can observe the terminal states, then close."""
+        window so clients hear what the aborts answered, then close."""
         if self._thread is None:
             self.txns.abort_all()
             return
@@ -241,7 +245,10 @@ class SpaceServer:
         if conn not in self._conns:
             return
         self._conns.discard(conn)
+        # The waiters go first, so no take of this connection consumes what
+        # the aborts restore.
         self.space.discard(conn)
+        self.txns.abort_owned(conn)
         for sub_id in conn.subs:
             self.space.unsubscribe(sub_id)
         self._selector.unregister(conn.sock)
@@ -331,7 +338,9 @@ class SpaceServer:
         return {"subscription_id": sub_id}
 
     def _op_txn_create(self, conn: _Conn, params: dict[str, Any]) -> Any:
-        txn_id = self.txns.create(int(params["lease_ms"]), params.get("txn_id"))
+        txn_id = self.txns.create(
+            int(params["lease_ms"]), params.get("txn_id"), owner=conn
+        )
         return {"txn_id": txn_id}
 
     def _op_txn_renew(self, conn: _Conn, params: dict[str, Any]) -> Any:
@@ -345,10 +354,6 @@ class SpaceServer:
     def _op_txn_abort(self, conn: _Conn, params: dict[str, Any]) -> Any:
         self.txns.abort(params["txn_id"])
         return {}
-
-    def _op_txn_status(self, conn: _Conn, params: dict[str, Any]) -> Any:
-        rec = self.txns.status(params["txn_id"])
-        return {"txn_id": rec.txn_id, "state": rec.state, "lease_ms": rec.lease_ms}
 
     def _op_admin_status(self, conn: _Conn, params: dict[str, Any]) -> Any:
         stats = self.space.stats()
@@ -386,6 +391,5 @@ class SpaceServer:
         "txn.renew": _op_txn_renew,
         "txn.commit": _op_txn_commit,
         "txn.abort": _op_txn_abort,
-        "txn.status": _op_txn_status,
         "admin.status": _op_admin_status,
     }

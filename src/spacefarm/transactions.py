@@ -14,39 +14,35 @@ single atomic step.  Its leases are the only clock: the space reads no time.
 The only participant is the in-process space, so commit applies in one step:
 there is no prepare phase and no participant that can be unreachable.
 
-A finished transaction keeps its record only while it is among the newest
-TERMINAL_RECORDS finished ones, so a server that runs for days holds a
-bounded number of records.  A recent id still answers TXN_NOT_OPEN; an older
-one answers UNKNOWN_TXN, which callers treat the same way.  A caller may
-choose a transaction's id; an id that still has a record is refused.
+The manager holds a record only while its transaction is open: commit, abort
+and expiry delete it, so a server that runs for days holds O(open) records,
+and any id that is not open answers TXN_NOT_OPEN.  A transaction belongs to
+the session that created it: the server names that session as the record's
+`owner`, and `abort_owned` aborts what a dropped connection left open.  A
+caller may choose a transaction's id; an id that is open is refused, and a
+finished one may be opened again, with none of its old life.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Any, Callable
 
 from .entries import new_entry_id
-from .errors import TxnNotOpen, UnknownTxn
+from .errors import TxnNotOpen
 from .space import SpaceCore
 
-OPEN = "OPEN"
-COMMITTED = "COMMITTED"
-ABORTED = "ABORTED"
-
 MIN_LEASE_MS = 100
-TERMINAL_RECORDS = 1024
 
 
 @dataclass
 class TxnRecord:
     txn_id: str
-    state: str
     lease_ms: int
     deadline: float
+    owner: Any = None  # the server connection that created it
 
 
 class TxnManager:
@@ -57,15 +53,16 @@ class TxnManager:
         self._lock = space.lock
         space.txn_is_open = self.is_open
         self._clock = clock
-        self._records: dict[str, TxnRecord] = {}
-        self._finished: collections.deque[str] = collections.deque()  # oldest first
+        self._records: dict[str, TxnRecord] = {}  # open transactions only
         # Commit and abort leave `due` early: that costs at most one sweep
         # that aborts nothing.
         self.due = math.inf
 
     # -- lifecycle -------------------------------------------------------------
 
-    def create(self, lease_ms: int, txn_id: str | None = None) -> str:
+    def create(
+        self, lease_ms: int, txn_id: str | None = None, owner: Any = None
+    ) -> str:
         if lease_ms < MIN_LEASE_MS:
             raise ValueError(f"lease_ms must be >= {MIN_LEASE_MS}, got {lease_ms}")
         if txn_id is not None and not (isinstance(txn_id, str) and 0 < len(txn_id) <= 64):
@@ -73,11 +70,9 @@ class TxnManager:
         with self._lock:
             txn_id = txn_id or new_entry_id()
             if txn_id in self._records:
-                raise ValueError(f"transaction {txn_id} already exists")
+                raise ValueError(f"transaction {txn_id} is already open")
             deadline = self._clock() + lease_ms / 1000.0
-            self._records[txn_id] = TxnRecord(
-                txn_id=txn_id, state=OPEN, lease_ms=lease_ms, deadline=deadline
-            )
+            self._records[txn_id] = TxnRecord(txn_id, lease_ms, deadline, owner)
             self.due = min(self.due, deadline)
             return txn_id
 
@@ -92,70 +87,60 @@ class TxnManager:
 
     def commit(self, txn_id: str) -> None:
         with self._lock:
-            rec = self._open_record(txn_id)
+            self._open_record(txn_id)
             self._space.commit_apply(txn_id)
-            self._finish(rec, COMMITTED)
+            del self._records[txn_id]
 
     def abort(self, txn_id: str) -> None:
         with self._lock:
-            rec = self._open_record(txn_id)
-            self._finish_abort(rec)
+            self._abort_each([self._open_record(txn_id)])
 
-    def _finish_abort(self, rec: TxnRecord) -> None:
-        self._finish(rec, ABORTED)
-        self._space.abort_apply(rec.txn_id)
-
-    def _finish(self, rec: TxnRecord, state: str) -> None:
-        rec.state = state
-        self._finished.append(rec.txn_id)
-        if len(self._finished) > TERMINAL_RECORDS:
-            del self._records[self._finished.popleft()]
+    def _abort_each(self, recs: list[TxnRecord]) -> list[str]:
+        # The record goes first, so the abort's restores see the
+        # transaction as ended.
+        for rec in recs:
+            del self._records[rec.txn_id]
+            self._space.abort_apply(rec.txn_id)
+        return [rec.txn_id for rec in recs]
 
     def _open_record(self, txn_id: str) -> TxnRecord:
         rec = self._records.get(txn_id)
         if rec is None:
-            raise UnknownTxn(f"unknown transaction: {txn_id}")
-        if rec.state != OPEN:
-            raise TxnNotOpen(f"transaction {txn_id} is {rec.state}")
+            raise TxnNotOpen(f"transaction not open: {txn_id}")
         return rec
 
     # -- queries ---------------------------------------------------------------
 
     def status(self, txn_id: str) -> TxnRecord:
+        """A copy of the open transaction's record."""
         with self._lock:
-            rec = self._records.get(txn_id)
-            if rec is None:
-                raise UnknownTxn(f"unknown transaction: {txn_id}")
-            return replace(rec)
+            return replace(self._open_record(txn_id))
 
     def is_open(self, txn_id: str) -> bool:
-        with self._lock:
-            rec = self._records.get(txn_id)
-            return rec is not None and rec.state == OPEN
+        return txn_id in self._records
 
     def open_count(self) -> int:
-        with self._lock:
-            return sum(1 for r in self._records.values() if r.state == OPEN)
+        return len(self._records)
 
-    # -- expiry and shutdown -----------------------------------------------------
+    # -- expiry, dropped connections and shutdown ----------------------------------
 
     def sweep(self) -> list[str]:
         """Abort every open transaction whose lease has expired, and set
         `due` to the earliest deadline still ahead."""
         with self._lock:
             now = self._clock()
-            live = [rec for rec in self._records.values() if rec.state == OPEN]
-            expired = [rec for rec in live if rec.deadline <= now]
+            live = list(self._records.values())
             self.due = min(
                 (rec.deadline for rec in live if rec.deadline > now), default=math.inf
             )
-            for rec in expired:
-                self._finish_abort(rec)
-            return [rec.txn_id for rec in expired]
+            return self._abort_each([rec for rec in live if rec.deadline <= now])
+
+    def abort_owned(self, owner: Any) -> list[str]:
+        """Abort the open transactions that `owner` created."""
+        with self._lock:
+            recs = self._records.values()
+            return self._abort_each([rec for rec in recs if rec.owner is owner])
 
     def abort_all(self) -> list[str]:
         with self._lock:
-            live = [rec for rec in self._records.values() if rec.state == OPEN]
-            for rec in live:
-                self._finish_abort(rec)
-            return [rec.txn_id for rec in live]
+            return self._abort_each(list(self._records.values()))

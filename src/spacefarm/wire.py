@@ -2,11 +2,14 @@
 
 Each frame is a 4-byte big-endian length followed by that many bytes of UTF-8
 JSON, one message per frame, capped at 64 MiB.  The first frame each way is
-the hello {"hello": "spacefarm/5"}.  Requests carry a client-chosen req_id;
+the hello {"hello": "spacefarm/6"}.  Requests carry a client-chosen req_id;
 every request gets exactly one response with the same req_id.  Events are
 unsolicited and carry a subscription_id instead.  An entry travels as one
 flat JSON object whose bulk field is a single string: a task's or result's
-Base64 payload, or a row block's space-separated values.
+Base64 payload, or a row block's space-separated values.  A transaction
+belongs to the connection whose `txn.create` opened it: when that connection
+closes, the server aborts it.  Any transaction id that is not open answers
+TXN_NOT_OPEN.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any
 
 from .errors import FrameTooLarge, ProtocolMismatch, SessionClosed
 
-PROTOCOL = "spacefarm/5"
+PROTOCOL = "spacefarm/6"
 DEFAULT_PORT = 7420
 MAX_FRAME = 64 * 1024 * 1024
 

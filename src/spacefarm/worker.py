@@ -27,9 +27,11 @@ heartbeat's renewals on the same session still go through.
 
 One heartbeat thread per session is the only renewer of T: at
 CLAIM_LEASE_MS while the take waits, then at the task's lease, every third
-of the lease T last got, so a dead worker is detected by expiry. Any abort,
-by expiry, by the worker itself or by an injected fault, restores the task,
-and the next free worker claims it again. A worker whose renewal of T
+of the lease T last got, so a worker that hangs is detected by expiry. T
+belongs to the session: a worker that dies drops it, and the server aborts
+T at once. Any abort, by expiry, by a dropped session, by the worker itself
+or by an injected fault, restores the task, and the next free worker claims
+it again. A worker whose renewal of T
 failed abandons the task before the agent starts or after it ends. A task
 whose payload does not decode fails like an agent: the worker aborts T, and
 the master counts the restore toward max_attempts. A stop
@@ -85,7 +87,6 @@ from .errors import (
     SessionClosed,
     SpacefarmError,
     TxnNotOpen,
-    UnknownTxn,
     VersionMismatch,
 )
 from .execlog import ExecLog
@@ -281,7 +282,7 @@ class Worker:
                         if stop.is_set():
                             break  # set before the claim was parked
                         task = session.take(self._claim, txn, timeout_ms=None)
-                    except (TxnNotOpen, UnknownTxn):
+                    except TxnNotOpen:
                         txn = None  # expired, or aborted by a stop
                         continue
                     finally:
@@ -367,7 +368,6 @@ class Worker:
         result = ResultEntry(
             case_id=task.case_id,
             part_index=task.part_index,
-            entry_id=new_entry_id(),
             payload=encode_payload(output),
         )
         next_txn = new_entry_id()
@@ -384,7 +384,7 @@ class Worker:
             return self._abandon(session, task, txn, "result-too-large")
         try:
             unwrap([written, committed])
-        except (TxnNotOpen, UnknownTxn):
+        except TxnNotOpen:
             self._abandon(session, task, txn, "lease-lost")
         else:
             # The commit is the mark now; the events keep their names

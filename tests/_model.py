@@ -12,7 +12,7 @@ import random
 import threading
 
 from spacefarm.entries import StopEntry, Template, entry_from_wire
-from spacefarm.errors import TxnNotOpen, UnknownTxn
+from spacefarm.errors import TxnNotOpen
 from spacefarm.space import SpaceCore
 from spacefarm.transactions import TxnManager
 
@@ -124,7 +124,7 @@ def run_stress(
                     finish = txns.commit if rng.random() < 0.5 else txns.abort
                     finish(open_txn)
                     open_txn = None
-            except (TxnNotOpen, UnknownTxn):
+            except TxnNotOpen:
                 open_txn = None
         if open_txn is not None:
             txns.abort(open_txn)

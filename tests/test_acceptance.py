@@ -105,8 +105,8 @@ def _check_blocking_wakeup():
 
 def _check_oldest_first():
     core, _ = _space_pair()
-    first = ResultEntry("t", 0, "0" * 8 + "-0000-0000-0000-" + "0" * 12, encode_payload(b"1"))
-    second = ResultEntry("t", 0, "1" * 8 + "-1111-1111-1111-" + "1" * 12, encode_payload(b"2"))
+    first = ResultEntry("t", 0, encode_payload(b"1"))
+    second = ResultEntry("t", 0, encode_payload(b"2"))
     core.write(first)
     core.write(second)
     tpl = Template("ResultEntry", {"case_id": "t"})

@@ -16,15 +16,13 @@ from spacefarm.entries import (
     entry_from_wire,
     entry_to_wire,
     matchable_fields,
-    new_entry_id,
-    parse_entry_id,
 )
 from spacefarm.errors import InvalidTemplate, MalformedPayload
 
 
 def sample_entries():
     return [
-        ResultEntry("case-a", 0, new_entry_id(), encode_payload(b"")),
+        ResultEntry("case-a", 0, encode_payload(b"")),
         ConfigurationEntry("case-a", "echo", "1", {"delay_ms": "0"}),
         StopEntry("case-a"),
         TaskEntry("case-a", 0, 30_000, "echo", encode_payload(b"hello")),
@@ -66,16 +64,8 @@ def test_payload_codec_rejects_garbage():
             decode_payload(bad)
 
 
-def test_entry_id_parse_is_strict_identity():
-    eid = new_entry_id()
-    assert parse_entry_id(eid) == eid
-    for bad in ("", "abc", eid.upper(), eid.replace("-", "_")):
-        with pytest.raises(ValueError):
-            parse_entry_id(bad)
-
-
 def test_template_matches_on_exact_scalar_equality():
-    entry = ResultEntry("case-a", 2, new_entry_id(), encode_payload(b"x"))
+    entry = ResultEntry("case-a", 2, encode_payload(b"x"))
     assert Template("ResultEntry").matches(entry)
     assert Template("ResultEntry", {"case_id": "case-a", "part_index": 2}).matches(entry)
     assert not Template("ResultEntry", {"part_index": 3}).matches(entry)

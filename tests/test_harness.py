@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from spacefarm.execlog import load_events
 from spacefarm.harness import (
     Fault,
     Scenario,
@@ -124,6 +125,54 @@ def test_small_scenario_runs_end_to_end(tmp_path):
     assert report.passed
     assert (tmp_path / "out.bin").read_bytes() == b"0123456789abcdef"
     assert (tmp_path / "artifacts" / "scenario-report.json").exists()
+
+
+def test_a_killed_workers_part_is_claimed_again_long_before_its_lease(tmp_path):
+    """A worker killed with a part in hand drops its connection, and the
+    server aborts its task transaction at once: the idle worker claims the
+    part within 250 ms, not after the 10 s task lease.  The killed worker
+    starts later, so the other has finished its own part by the kill, and
+    its part runs long enough for the heartbeat to renew it at the task
+    lease."""
+    input_path = tmp_path / "input.bin"
+    input_path.write_bytes(b"ab")
+    artifacts = tmp_path / "artifacts"
+    scenario = Scenario.from_dict(
+        {
+            "name": "kill-drop",
+            "topology": {"workers": 2, "start_offsets": [0.5, 0.0]},
+            "case": {
+                "case_id": "kill-drop",
+                "agent_id": "echo",
+                "agent_version": "1",
+                "agent_params": {"delay_ms": 1_000},
+                "input_path": str(input_path),
+                "output_path": str(tmp_path / "out.bin"),
+                "cut_strategy": {"name": "byte_chunk"},
+                "num_parts": 2,
+                "initial_workers": 2,
+                "task_lease_ms": 10_000,
+                "max_attempts": 3,
+            },
+            "faults": [
+                {"target": 0, "trigger": "before-result-write", "action": "kill"}
+            ],
+            "assertions": ["case_completes", "exactly_once", "replays_at_least_one"],
+            "timeout_s": 60,
+        }
+    )
+    run_scenario(scenario, str(artifacts))
+    events = load_events([str(path) for path in artifacts.glob("*.jsonl")])
+    (kill,) = [e for e in events if e["event"] == "fault" and e["action"] == "kill"]
+    again = [
+        e["ts"] - kill["ts"]
+        for e in events
+        if e["event"] == "claimed"
+        and e["part_index"] == kill["part_index"]
+        and e["ts"] > kill["ts"]
+    ]
+    assert again and again[0] < 0.25, again
+    assert (tmp_path / "out.bin").read_bytes() == b"ab"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux-only")

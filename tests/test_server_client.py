@@ -1,5 +1,6 @@
 """Server and client session behavior over real sockets."""
 
+import contextlib
 import queue
 import socket
 import sys
@@ -35,7 +36,6 @@ from spacefarm.errors import (
     SessionClosed,
     TxnNotOpen,
     UnknownOp,
-    UnknownTxn,
 )
 from spacefarm.server import SpaceServer
 
@@ -63,14 +63,13 @@ def test_write_read_take_roundtrip(session):
     assert session.read(template) is None
 
 
-def test_transactions_over_the_wire(session):
+def test_transactions_over_the_wire(server, session):
     template = Template("StopEntry", {"case_id": "txn-case"})
     txn = session.txn_create(5_000)
     session.write(StopEntry(case_id="txn-case"), txn=txn)
     assert session.read(template) is None
     assert session.read(template, txn=txn) is not None
-    rec = session.txn_status(txn)
-    assert rec.state == "OPEN" and rec.lease_ms == 5_000
+    assert server.txns.status(txn).lease_ms == 5_000
     session.txn_commit(txn)
     assert session.read(template) is not None
     with pytest.raises(TxnNotOpen):
@@ -78,7 +77,7 @@ def test_transactions_over_the_wire(session):
 
 
 def test_error_codes_map_to_typed_exceptions(session):
-    with pytest.raises(UnknownTxn):
+    with pytest.raises(TxnNotOpen):
         session.txn_abort("never-created")
     with pytest.raises(InvalidTemplate):
         session.call("space.take", {"template": {"kind": "Mystery", "constraints": {}}})
@@ -91,9 +90,10 @@ def test_lease_renewal_over_the_wire(session):
     for _ in range(4):
         time.sleep(0.15)
         session.txn_renew(txn, 300)
-    assert session.txn_status(txn).state == "OPEN"  # survived 0.6s on a 0.3s lease
+    session.txn_renew(txn, 300)  # survived 0.6s on a 0.3s lease
     time.sleep(0.6)
-    assert session.txn_status(txn).state == "ABORTED"
+    with pytest.raises(TxnNotOpen):
+        session.txn_renew(txn, 300)
 
 
 def test_pipelined_calls_pair_responses(session):
@@ -134,13 +134,13 @@ def test_batch_answers_in_order_with_each_error_in_its_own_slot(session):
     ])
     seq, unknown, before_commit, committed, taken, gone, refused, fresh = answers
     assert isinstance(seq, int)
-    assert isinstance(unknown, UnknownTxn)
+    assert isinstance(unknown, TxnNotOpen)
     assert before_commit is None  # the write is still scoped to txn
     assert committed is None
     assert taken == StopEntry(case_id="batched")
     assert gone is None
     assert refused.code == "BAD_REQUEST"
-    assert session.txn_status(fresh).state == "OPEN"
+    session.txn_abort(fresh)  # open
 
 
 def test_concurrent_batches_on_one_session_get_their_own_answers(session):
@@ -220,6 +220,40 @@ def test_disconnect_during_blocked_take_consumes_nothing(server, address):
         assert other.read(Template("StopEntry", {"case_id": "precious"})) is not None
     finally:
         other.close()
+
+
+def test_a_dropped_connection_aborts_the_transactions_it_opened(
+    server, address, session
+):
+    """A transaction belongs to the connection that created it: when that
+    connection drops, the server aborts it long before its lease ends.  The
+    connection's parked lookups are discarded first, so none of them
+    consumes what the abort restores, and another connection's transaction
+    stays open."""
+    template = Template("StopEntry", {"case_id": "dropped"})
+    session.write(StopEntry(case_id="dropped"))
+    other = session.txn_create(60_000)
+    holder = Session.connect(address)
+    txn = holder.txn_create(60_000)
+    assert holder.take(template, txn=txn) == StopEntry(case_id="dropped")
+
+    def parked():
+        with contextlib.suppress(SessionClosed):
+            holder.take(template, txn=other, timeout_ms=30_000)
+
+    thread = threading.Thread(target=parked, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 5
+    while server.space.stats()["waiters"] < 1:
+        assert time.monotonic() < deadline, "the take did not park"
+        time.sleep(0.005)
+    holder.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert session.take(template, timeout_ms=250) == StopEntry(case_id="dropped")
+    assert not server.txns.is_open(txn)
+    assert server.txns.is_open(other)
+    session.txn_abort(other)
 
 
 @pytest.mark.parametrize("ending", ["abort", "expiry"])
@@ -405,20 +439,21 @@ def test_subscription_sees_commit_promotions(session):
 def test_a_chosen_txn_id_is_the_id_returned(session):
     txn = new_entry_id()
     assert session.batch([create_request(5_000, txn)]) == [txn]
-    assert session.txn_status(txn).state == "OPEN"
-    session.txn_abort(txn)
+    session.txn_abort(txn)  # open
 
 
-def test_a_chosen_txn_id_in_use_is_refused(session):
+def test_a_chosen_txn_id_in_use_is_refused(server, session):
     opened = session.txn_create(5_000)
+    before = server.txns.status(opened)
+    with pytest.raises(BadRequest):
+        session.call("txn.create", {"lease_ms": 60_000, "txn_id": opened})
+    assert server.txns.status(opened) == before
+    session.txn_abort(opened)
     finished = session.txn_create(5_000)
     session.txn_commit(finished)
-    for txn in (opened, finished):
-        before = session.txn_status(txn)
-        with pytest.raises(BadRequest):
-            session.call("txn.create", {"lease_ms": 60_000, "txn_id": txn})
-        assert session.txn_status(txn) == before
-    session.txn_abort(opened)
+    assert session.batch([create_request(60_000, finished)]) == [finished]
+    assert server.txns.status(finished).lease_ms == 60_000
+    session.txn_abort(finished)
 
 
 @pytest.mark.parametrize("bad", [7, "", "x" * 65])
@@ -461,10 +496,19 @@ def test_admin_status_reports_counts(session):
 # spacefarm/1 still had entry leases and transaction-scoped subscriptions;
 # spacefarm/2 had no transaction ids chosen by the client; spacefarm/3 sent a
 # RowEntry's values as a list of strings; spacefarm/4 sent a
-# ConfigurationEntry's num_parts.
+# ConfigurationEntry's num_parts; spacefarm/5 had an op and an error code for
+# finished transactions and a ResultEntry's entry_id, and left a dropped
+# connection's transactions open.
 @pytest.mark.parametrize(
     "hello",
-    ["otherproto/9", "spacefarm/1", "spacefarm/2", "spacefarm/3", "spacefarm/4"],
+    [
+        "otherproto/9",
+        "spacefarm/1",
+        "spacefarm/2",
+        "spacefarm/3",
+        "spacefarm/4",
+        "spacefarm/5",
+    ],
 )
 def test_wrong_hello_is_refused(server, hello):
     host, port = server.address
@@ -489,7 +533,7 @@ def test_shutdown_aborts_open_transactions():
         txn = session.txn_create(60_000)
         session.take(Template("StopEntry", {"case_id": "held"}), txn=txn)
         server.shutdown(drain_ms=0)
-        assert server.txns.status(txn).state == "ABORTED"
+        assert not server.txns.is_open(txn)
         restored = server.space.count(Template("StopEntry", {"case_id": "held"}))
         assert restored == (1, 0)
     finally:

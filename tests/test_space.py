@@ -36,8 +36,8 @@ def test_write_read_take_basics():
 
 def test_oldest_first_tie_break():
     core, _ = make_pair()
-    first = ResultEntry("a", 0, "0" * 8 + "-0000-0000-0000-" + "0" * 12, encode_payload(b"1"))
-    second = ResultEntry("a", 0, "1" * 8 + "-1111-1111-1111-" + "1" * 12, encode_payload(b"2"))
+    first = ResultEntry("a", 0, encode_payload(b"1"))
+    second = ResultEntry("a", 0, encode_payload(b"2"))
     core.write(first)
     core.write(second)
     template = Template("ResultEntry", {"case_id": "a"})

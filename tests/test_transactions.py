@@ -6,16 +6,9 @@ import pytest
 
 from conftest import FakeClock
 from spacefarm.entries import StopEntry, Template
-from spacefarm.errors import TxnNotOpen, UnknownTxn
+from spacefarm.errors import TxnNotOpen
 from spacefarm.space import SpaceCore
-from spacefarm.transactions import (
-    ABORTED,
-    COMMITTED,
-    MIN_LEASE_MS,
-    OPEN,
-    TERMINAL_RECORDS,
-    TxnManager,
-)
+from spacefarm.transactions import MIN_LEASE_MS, TxnManager
 
 
 def make_pair(clock):
@@ -24,14 +17,15 @@ def make_pair(clock):
 
 
 def test_lifecycle_and_status(fake_clock):
-    _, txns = make_pair(fake_clock)
+    core, txns = make_pair(fake_clock)
     txn = txns.create(1_000)
     rec = txns.status(txn)
-    assert rec.state == OPEN and rec.lease_ms == 1_000
+    assert rec.txn_id == txn and rec.lease_ms == 1_000
     assert txns.is_open(txn)
+    core.write(StopEntry(case_id="a"), txn=txn)
     txns.commit(txn)
-    assert txns.status(txn).state == COMMITTED
     assert not txns.is_open(txn)
+    assert core.read(Template("StopEntry", {"case_id": "a"})) == StopEntry(case_id="a")
 
 
 def test_create_rejects_tiny_lease(fake_clock):
@@ -43,7 +37,7 @@ def test_create_rejects_tiny_lease(fake_clock):
 def test_create_under_a_chosen_id(fake_clock):
     _, txns = make_pair(fake_clock)
     assert txns.create(1_000, "chosen") == "chosen"
-    assert txns.status("chosen").state == OPEN
+    assert txns.is_open("chosen")
     longest = "x" * 64
     assert txns.create(1_000, longest) == longest
 
@@ -51,15 +45,29 @@ def test_create_under_a_chosen_id(fake_clock):
 def test_a_chosen_id_that_has_a_record_is_refused_and_left_untouched(fake_clock):
     _, txns = make_pair(fake_clock)
     txns.create(1_000, "open")
-    txns.commit(txns.create(1_000, "finished"))
     fake_clock.advance(0.5)
-    for txn in ("open", "finished"):
-        before = txns.status(txn)
-        with pytest.raises(ValueError):
-            txns.create(5_000, txn)
-        assert txns.status(txn) == before
+    before = txns.status("open")
+    with pytest.raises(ValueError):
+        txns.create(5_000, "open")
+    assert txns.status("open") == before
     fake_clock.advance(0.6)
     assert txns.sweep() == ["open"]  # still on its own lease
+
+
+def test_a_reopened_id_sees_none_of_its_old_life(fake_clock):
+    core, txns = make_pair(fake_clock)
+    core.write(StopEntry(case_id="taken"))
+    txns.create(1_000, "x")
+    core.write(StopEntry(case_id="written"), txn="x")
+    assert core.take(Template("StopEntry", {"case_id": "taken"}), txn="x")
+    txns.commit("x")
+    assert txns.create(1_000, "x") == "x"
+    assert [txn for _, _, txn, _ in core.snapshot()] == [None]
+    everything = Template("StopEntry")
+    assert core.take(everything, txn="x") == StopEntry(case_id="written")
+    assert core.take(everything, txn="x") is None
+    txns.abort("x")
+    assert core.read(everything) == StopEntry(case_id="written")
 
 
 @pytest.mark.parametrize("bad", [7, "", "x" * 65])
@@ -72,9 +80,9 @@ def test_a_malformed_chosen_id_is_refused(fake_clock, bad):
 
 def test_unknown_and_terminal_txns(fake_clock):
     _, txns = make_pair(fake_clock)
-    with pytest.raises(UnknownTxn):
+    with pytest.raises(TxnNotOpen):
         txns.commit("nope")
-    with pytest.raises(UnknownTxn):
+    with pytest.raises(TxnNotOpen):
         txns.status("nope")
     txn = txns.create(1_000)
     txns.abort(txn)
@@ -93,7 +101,7 @@ def test_sweep_aborts_expired_and_restores_takes(fake_clock):
     assert txns.sweep() == []
     fake_clock.advance(1.1)
     assert txns.sweep() == [txn]
-    assert txns.status(txn).state == ABORTED
+    assert not txns.is_open(txn)
     assert core.read(Template("StopEntry", {"case_id": "a"})) is not None
     assert core.read(Template("StopEntry", {"case_id": "b"})) is None
 
@@ -141,17 +149,23 @@ def test_abort_all(fake_clock):
     assert txns.open_count() == 0
 
 
-def test_terminal_records_are_bounded(fake_clock):
+def test_finished_transactions_leave_no_record(fake_clock):
     _, txns = make_pair(fake_clock)
-    held = [txns.create(1_000) for _ in range(3)]
-    finished = []
-    for _ in range(3 * TERMINAL_RECORDS):
-        txn = txns.create(1_000)
+    held = {txns.create(60_000) for _ in range(3)}
+    committed = [txns.create(1_000) for _ in range(1_024)]
+    for txn in committed:
         txns.commit(txn)
-        finished.append(txn)
-    assert len(txns._records) <= TERMINAL_RECORDS + len(held)
-    assert all(txns.is_open(txn) for txn in held)
-    with pytest.raises(TxnNotOpen):  # recent: still known
-        txns.commit(finished[-1])
-    with pytest.raises(UnknownTxn):  # old: forgotten
-        txns.commit(finished[0])
+    aborted = [txns.create(1_000) for _ in range(1_024)]
+    for txn in aborted:
+        txns.abort(txn)
+    expired = [txns.create(1_000) for _ in range(1_024)]
+    fake_clock.advance(1.1)
+    assert txns.sweep() == expired
+    assert set(txns._records) == held
+    assert txns.open_count() == len(held)
+    for txn in committed + aborted + expired:
+        for finish in (txns.commit, txns.abort, txns.status):
+            with pytest.raises(TxnNotOpen):
+                finish(txn)
+        with pytest.raises(TxnNotOpen):
+            txns.renew(txn, 1_000)
